@@ -7,6 +7,14 @@
 //! `alloc_steady_state` integration test). They must all drive the *same*
 //! workload, or a layout-specific allocation regression could hide behind
 //! a fixture drift; this module is the single definition of that workload.
+//!
+//! The counter it reads is process-global, so a measurement only means
+//! something while no other thread in the process is building or running
+//! a fixture: every measurement holds one process-wide lock from warm-up
+//! to the final count, so concurrent callers (libtest runs `#[test]`s in
+//! parallel) take turns instead of counting each other's allocations.
+
+use std::sync::{Mutex, MutexGuard};
 
 use headroom_cluster::catalog::MicroserviceKind;
 use headroom_cluster::maintenance::AvailabilityPractice;
@@ -28,6 +36,15 @@ pub const REPLAN_EVERY: u64 = 16;
 pub const WARM_WINDOWS: u64 = 25 * REPLAN_EVERY;
 /// Windows measured after warm-up.
 pub const MEASURED_WINDOWS: u64 = 10;
+
+/// Serialises measurements within the process; see the module docs.
+static MEASURE_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes `MEASURE_LOCK`. A measurement that panicked while holding it
+/// (a failed assertion) leaves no state behind, so poisoning is ignored.
+fn exclusive() -> MutexGuard<'static, ()> {
+    MEASURE_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// One warmed simulator + engine pair on the canonical fixture fleet
 /// (3 DCs × service B × 12 servers, no failures/incidents, SnapshotOnly,
@@ -136,12 +153,14 @@ fn warmed_with(
 /// replans every window, which would make a nonzero count a fixture bug,
 /// not an allocation-contract violation).
 pub fn measure_steady_state_allocs(threads: usize, layout: SnapshotLayout) -> u64 {
+    let _exclusive = exclusive();
     measure(warmed(threads, layout), layout)
 }
 
 /// [`measure_steady_state_allocs`] on the scenario-active fixture: the
 /// same contract while a `DatacenterLoss` + global surge are live.
 pub fn measure_steady_state_allocs_scenario(threads: usize, layout: SnapshotLayout) -> u64 {
+    let _exclusive = exclusive();
     measure(warmed_scenario(threads, layout), layout)
 }
 

@@ -14,9 +14,11 @@
 //! workload is the shared fixture in `headroom_bench::alloc_fixture`, the
 //! same one the `repro sweep` and `repro colsim` CI gates measure.
 //!
-//! Kept as its own integration-test binary on purpose: the default test
-//! harness runs tests concurrently, and a process-global allocation
-//! counter only means something when nothing else is allocating.
+//! Kept as its own integration-test binary on purpose: a process-global
+//! allocation counter only means something when nothing else is
+//! allocating. The harness still runs this file's tests concurrently, so
+//! the fixture serialises them itself: each measurement holds the
+//! fixture's lock from warm-up to the final count.
 
 use headroom_bench::alloc_fixture::{
     measure_steady_state_allocs, measure_steady_state_allocs_scenario, MEASURED_WINDOWS,

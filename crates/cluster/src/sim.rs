@@ -1466,10 +1466,13 @@ mod tests {
     fn resize_validation() {
         let mut sim = Simulation::new(small_fleet(2), EventScript::empty(), SimConfig::default());
         let pool = sim.fleet().pools()[0].id;
-        assert!(matches!(
-            sim.schedule_resize(PoolId(999), WindowIndex(0), 5),
-            Err(ClusterError::UnknownPool(_))
-        ));
+        let len = sim.fleet().pools().len() as u32;
+        for unknown in [PoolId(len), PoolId(999), PoolId(u32::MAX)] {
+            assert_eq!(
+                sim.schedule_resize(unknown, WindowIndex(0), 5),
+                Err(ClusterError::UnknownPool(unknown))
+            );
+        }
         assert!(matches!(
             sim.schedule_resize(pool, WindowIndex(0), 0),
             Err(ClusterError::InvalidResize { .. })
@@ -1905,10 +1908,13 @@ mod tests {
     fn model_swap_validates_pool() {
         let mut sim = Simulation::new(small_fleet(12), EventScript::empty(), SimConfig::default());
         let model = sim.fleet().pools()[0].model.clone();
-        assert!(matches!(
-            sim.schedule_model_swap(PoolId(999), WindowIndex(0), model),
-            Err(ClusterError::UnknownPool(_))
-        ));
+        let len = sim.fleet().pools().len() as u32;
+        for unknown in [PoolId(len), PoolId(999), PoolId(u32::MAX)] {
+            assert!(matches!(
+                sim.schedule_model_swap(unknown, WindowIndex(0), model.clone()),
+                Err(ClusterError::UnknownPool(p)) if p == unknown
+            ));
+        }
     }
 
     #[test]

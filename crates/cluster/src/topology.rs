@@ -28,6 +28,12 @@ pub struct Datacenter {
 }
 
 /// The simulated fleet: datacenters plus pools.
+///
+/// Pool ids are dense: `pools()[i].id == PoolId(i)`. [`FleetBuilder`]
+/// assigns ids in deployment order and nothing adds, removes or reorders
+/// pools afterwards, so [`Fleet::pool`] and [`Fleet::pool_mut`] index
+/// directly instead of scanning (the reconciler looks up every managed
+/// pool every window).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Fleet {
     datacenters: Vec<Datacenter>,
@@ -50,14 +56,14 @@ impl Fleet {
         &mut self.pools
     }
 
-    /// Looks up a pool.
+    /// Looks up a pool in constant time; `None` for an id not in the fleet.
     pub fn pool(&self, id: PoolId) -> Option<&Pool> {
-        self.pools.iter().find(|p| p.id == id)
+        self.pools.get(id.0 as usize).filter(|p| p.id == id)
     }
 
-    /// Mutable pool lookup.
+    /// Mutable pool lookup, in constant time like [`Fleet::pool`].
     pub fn pool_mut(&mut self, id: PoolId) -> Option<&mut Pool> {
-        self.pools.iter_mut().find(|p| p.id == id)
+        self.pools.get_mut(id.0 as usize).filter(|p| p.id == id)
     }
 
     /// Pools running `service`, ordered by datacenter.
@@ -277,6 +283,32 @@ mod tests {
         assert_eq!(server_ids.len(), before, "server ids must be unique");
         // Weighted sizes: B 10+9+8, D 5+5+4.
         assert_eq!(before, 41);
+    }
+
+    #[test]
+    fn pool_ids_are_dense_across_deployments() {
+        let mut fleet = FleetBuilder::new(3)
+            .datacenters(4)
+            .deploy_service(MicroserviceKind::A, 3)
+            .unwrap()
+            .deploy_service(MicroserviceKind::G, 2)
+            .unwrap()
+            .deploy_service(MicroserviceKind::B, 5)
+            .unwrap()
+            .build();
+        let n = fleet.pools().len();
+        assert_eq!(n, 12);
+        for (i, pool) in fleet.pools().iter().enumerate() {
+            assert_eq!(pool.id, PoolId(i as u32), "pools[{i}] carries PoolId({i})");
+        }
+        for i in 0..n as u32 {
+            assert_eq!(fleet.pool(PoolId(i)).map(|p| p.id), Some(PoolId(i)));
+            assert_eq!(fleet.pool_mut(PoolId(i)).map(|p| p.id), Some(PoolId(i)));
+        }
+        for unknown in [PoolId(n as u32), PoolId(u32::MAX)] {
+            assert!(fleet.pool(unknown).is_none());
+            assert!(fleet.pool_mut(unknown).is_none());
+        }
     }
 
     #[test]

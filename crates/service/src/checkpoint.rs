@@ -6,8 +6,8 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"HRCP"
-//! 4       4     format version, u32 LE (currently 3)
-//! 8       8     FNV-1a 64 checksum of the payload, u64 LE
+//! 4       4     format version, u32 LE (currently 4)
+//! 8       8     checksum64 (XXH64) of the payload, u64 LE
 //! 16      8     payload length in bytes, u64 LE
 //! 24      n     payload: SweepEngine::persist
 //! ```
@@ -16,26 +16,31 @@
 //! reject a foreign file (magic), a future format it does not understand
 //! (version), a torn or bit-flipped write (checksum, length), and junk
 //! appended by a concatenating copy (trailing bytes) — all *before* the
-//! payload decoder runs. The payload itself is the engine's logical state
-//! only; worker threads and scratch buffers are rebuilt lazily on the first
-//! sweep after [`load`], which is why a checkpoint taken at `threads = 8`
-//! restores bit-identically at `threads = 1` (or under the other
+//! payload decoder runs. Writing the frame never copies the payload: the
+//! engine encodes straight into the frame buffer behind a header
+//! placeholder, and the checksum and length are patched in afterwards.
+//!
+//! The payload itself is the engine's logical state only; worker threads
+//! and scratch buffers are rebuilt lazily on the first sweep after
+//! [`load`], which is why a checkpoint taken at `threads = 8` restores
+//! bit-identically at `threads = 1` (or under the other
 //! [`headroom_online::SweepExec`] mode).
 
 use headroom_online::sweep::SweepEngine;
-use headroom_stats::persist::{fnv1a64, Persist, PersistError, Reader, Writer};
+use headroom_stats::persist::{checksum64, Persist, PersistError, Reader, Writer};
 
 /// First four bytes of every checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"HRCP";
 
-/// Current checkpoint format version. Bumped whenever the payload encoding
-/// changes shape (v3: `StreamingLinReg` moved from centered moments to
-/// shift-pinned power sums, changing its persisted fields); [`load`]
-/// refuses versions it does not know rather than guessing.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// Current checkpoint format version. Bumped whenever the frame or the
+/// payload encoding changes shape (v3: `StreamingLinReg` moved from
+/// centered moments to shift-pinned power sums; v4: the frame checksum
+/// went from FNV-1a 64 to [`checksum64`]); [`load`] refuses versions it
+/// does not know rather than guessing.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Bytes of frame before the payload: magic + version + checksum + length.
-const HEADER_LEN: usize = 4 + 4 + 8 + 8;
+pub(crate) const HEADER_LEN: usize = 4 + 4 + 8 + 8;
 
 /// Why a checkpoint could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,7 +57,7 @@ pub enum CheckpointError {
         /// Bytes actually present after the header.
         available: usize,
     },
-    /// The payload's FNV-1a 64 checksum does not match the frame's.
+    /// The payload's [`checksum64`] does not match the frame's.
     ChecksumMismatch {
         /// Checksum recorded in the frame.
         expected: u64,
@@ -104,15 +109,22 @@ impl From<PersistError> for CheckpointError {
     }
 }
 
-/// Wraps an already-encoded payload in the checkpoint frame. Shared with
-/// the event log, which uses the same frame under its own magic/version.
-pub(crate) fn frame(magic: [u8; 4], version: u32, payload: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&magic);
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
+/// Encodes a framed buffer: writes the header with placeholder checksum
+/// and length, lets `payload` encode behind it in the same buffer, then
+/// patches both fields in place, so the payload is never copied. Shared
+/// with the event log, which uses the same frame under its own
+/// magic/version.
+pub(crate) fn frame(magic: [u8; 4], version: u32, payload: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_u32(u32::from_le_bytes(magic));
+    w.put_u32(version);
+    w.put_u64(0); // checksum, patched below
+    w.put_u64(0); // payload length, patched below
+    payload(&mut w);
+    let mut out = w.into_bytes();
+    let (header, body) = out.split_at_mut(HEADER_LEN);
+    header[8..16].copy_from_slice(&checksum64(body).to_le_bytes());
+    header[16..24].copy_from_slice(&(body.len() as u64).to_le_bytes());
     out
 }
 
@@ -146,7 +158,7 @@ pub(crate) fn unframe<'a>(
     if body.len() > declared {
         return Err(CheckpointError::TrailingBytes(body.len() - declared));
     }
-    let actual = fnv1a64(body);
+    let actual = checksum64(body);
     if actual != expected {
         return Err(CheckpointError::ChecksumMismatch { expected, actual });
     }
@@ -155,9 +167,7 @@ pub(crate) fn unframe<'a>(
 
 /// Serializes the engine's full logical state into a framed checkpoint.
 pub fn save(engine: &SweepEngine) -> Vec<u8> {
-    let mut w = Writer::new();
-    engine.persist(&mut w);
-    frame(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, w.into_bytes())
+    frame(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, |w| engine.persist(w))
 }
 
 /// Decodes a checkpoint produced by [`save`] back into a ready-to-run
@@ -186,7 +196,9 @@ pub fn load(bytes: &[u8]) -> Result<SweepEngine, CheckpointError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{b_qos, drive, engine, feed_window, test_config};
+    use crate::testutil::{
+        assert_every_bit_flip_rejected, b_qos, drive, engine, feed_window, test_config,
+    };
     use headroom_online::planner::SweepExec;
 
     #[test]
@@ -274,18 +286,40 @@ mod tests {
         let mut engine = engine(test_config(0));
         drive(&mut engine, 0, 10);
         let mut bytes = save(&engine);
-        bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
-        assert_eq!(load(&bytes).unwrap_err(), CheckpointError::UnsupportedVersion(99));
+        // v3 is the previous format (FNV-1a 64 checksum): no reader remains.
+        for version in [3u32, 99] {
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(load(&bytes).unwrap_err(), CheckpointError::UnsupportedVersion(version));
+        }
+    }
+
+    /// The frame is the header followed by the engine's encoding, verbatim:
+    /// encoding in place changes no byte relative to framing a separately
+    /// encoded payload.
+    #[test]
+    fn save_is_header_plus_unframed_payload() {
+        let mut engine = engine(test_config(0));
+        drive(&mut engine, 0, 30);
+        let mut w = Writer::new();
+        engine.persist(&mut w);
+        let payload = w.into_bytes();
+
+        let mut expected = Vec::new();
+        expected.extend_from_slice(&CHECKPOINT_MAGIC);
+        expected.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+        expected.extend_from_slice(&checksum64(&payload).to_le_bytes());
+        expected.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        expected.extend_from_slice(&payload);
+        assert_eq!(save(&engine), expected);
     }
 
     #[test]
     fn rejects_flipped_payload_bit() {
+        // Every bit of the frame, one at a time. One window in: every pool
+        // has a shard and every ring one entry, and the frame stays small.
         let mut engine = engine(test_config(0));
-        drive(&mut engine, 0, 10);
-        let mut bytes = save(&engine);
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x40;
-        assert!(matches!(load(&bytes), Err(CheckpointError::ChecksumMismatch { .. })));
+        drive(&mut engine, 0, 1);
+        assert_every_bit_flip_rejected(&save(&engine), load);
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!   incremental to write and human-auditable.
 //!
 //! The serialized form reuses the checkpoint frame (magic `b"HREL"`,
-//! version, FNV-1a 64 checksum, length) around a length-prefixed envelope
-//! array, and decoding re-validates both sequencing invariants.
+//! version 2, [`checksum64`](headroom_stats::persist::checksum64) of the
+//! payload, length) around a length-prefixed envelope array, and decoding
+//! re-validates both sequencing invariants.
 
 use std::collections::BTreeMap;
 
@@ -34,8 +35,9 @@ use crate::checkpoint::{frame, unframe, CheckpointError};
 /// First four bytes of a serialized event log.
 pub const EVENT_LOG_MAGIC: [u8; 4] = *b"HREL";
 
-/// Current event-log format version.
-pub const EVENT_LOG_VERSION: u32 = 1;
+/// Current event-log format version (v2: the frame checksum went from
+/// FNV-1a 64 to `checksum64`, as in checkpoint v4).
+pub const EVENT_LOG_VERSION: u32 = 2;
 
 /// What an event carries.
 #[derive(Debug, Clone, PartialEq)]
@@ -184,9 +186,7 @@ impl EventLog {
 
     /// Serializes the log into its framed binary form.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.events.persist(&mut w);
-        frame(EVENT_LOG_MAGIC, EVENT_LOG_VERSION, w.into_bytes())
+        frame(EVENT_LOG_MAGIC, EVENT_LOG_VERSION, |w| self.events.persist(w))
     }
 
     /// Decodes a log serialized by [`EventLog::to_bytes`], re-validating
@@ -272,7 +272,7 @@ pub fn replay(mut engine: SweepEngine, events: &[EventEnvelope]) -> ReplayOutcom
 mod tests {
     use super::*;
     use crate::checkpoint;
-    use crate::testutil::{engine, test_config, window_aggregates};
+    use crate::testutil::{assert_every_bit_flip_rejected, engine, test_config, window_aggregates};
     use headroom_online::planner::{OnlinePlannerConfig, SweepExec};
     use proptest::prelude::*;
 
@@ -318,13 +318,25 @@ mod tests {
         let (_, log) = logged_run(engine(test_config(0)), 20);
         let mut events = log.events().to_vec();
         events[3].pool_seq += 1;
-        let mut w = Writer::new();
-        events.persist(&mut w);
-        let bytes = frame(EVENT_LOG_MAGIC, EVENT_LOG_VERSION, w.into_bytes());
+        let bytes = frame(EVENT_LOG_MAGIC, EVENT_LOG_VERSION, |w| events.persist(w));
         assert_eq!(
             EventLog::from_bytes(&bytes),
             Err(PersistError::Invalid("per-pool sequence broken").into())
         );
+    }
+
+    #[test]
+    fn rejects_previous_version() {
+        let (_, log) = logged_run(engine(test_config(0)), 3);
+        let mut bytes = log.to_bytes();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(EventLog::from_bytes(&bytes), Err(CheckpointError::UnsupportedVersion(1)));
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_rejected() {
+        let (_, log) = logged_run(engine(test_config(0)), 1);
+        assert_every_bit_flip_rejected(&log.to_bytes(), EventLog::from_bytes);
     }
 
     #[test]

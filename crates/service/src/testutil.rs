@@ -11,6 +11,8 @@ use headroom_online::sweep::SweepEngine;
 use headroom_telemetry::ids::PoolId;
 use headroom_telemetry::time::WindowIndex;
 
+use crate::checkpoint::{CheckpointError, HEADER_LEN};
+
 /// Pools in the synthetic fleet.
 pub const POOLS: u32 = 5;
 
@@ -71,4 +73,28 @@ pub fn drive(engine: &mut SweepEngine, from: u64, to: u64) -> Vec<ResizeRecommen
         out.extend(engine.drain_recommendations());
     }
     out
+}
+
+/// Flips every bit of the framed `bytes` in turn and asserts `decode`
+/// rejects each copy with a typed error — a checksum mismatch whenever the
+/// flipped bit lies in a payload of at least 64 bytes.
+pub fn assert_every_bit_flip_rejected<T: std::fmt::Debug>(
+    bytes: &[u8],
+    decode: impl Fn(&[u8]) -> Result<T, CheckpointError>,
+) {
+    assert!(bytes.len() >= HEADER_LEN + 64, "payload of at least 64 bytes");
+    decode(bytes).expect("the unflipped frame decodes");
+    let mut flipped = bytes.to_vec();
+    for bit in 0..bytes.len() * 8 {
+        let (byte, mask) = (bit / 8, 1u8 << (bit % 8));
+        flipped[byte] ^= mask;
+        let err = decode(&flipped).expect_err("a flipped bit must be rejected");
+        if byte >= HEADER_LEN {
+            assert!(
+                matches!(err, CheckpointError::ChecksumMismatch { .. }),
+                "payload bit {bit}: {err:?}"
+            );
+        }
+        flipped[byte] ^= mask;
+    }
 }

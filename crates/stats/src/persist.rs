@@ -337,19 +337,78 @@ impl<A: Persist, B: Persist> Persist for (A, B) {
     }
 }
 
-/// FNV-1a 64-bit hash — the checkpoint container's corruption check.
+/// XXH64's five 64-bit primes.
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// The checkpoint container's corruption check: XXH64 with seed 0.
+///
+/// Reads the input as 8-byte little-endian words in four independent
+/// lanes (32-byte stripes), so the lanes' multiplies overlap instead of
+/// queueing behind one accumulator byte by byte. Each lane round
+/// `acc = rotl(acc + w·P2, 31)·P1` is a bijection in the word `w`, as is
+/// each tail step, so changing any single word changes its lane's state;
+/// the lanes are then folded with the length and the tail bytes and
+/// avalanched.
 ///
 /// Not cryptographic; it guards against truncation and bit rot, not
 /// adversaries.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(PRIME);
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    fn round(acc: u64, word: u64) -> u64 {
+        acc.wrapping_add(word.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
     }
-    hash
+    fn word(b: &[u8]) -> u64 {
+        u64::from_le_bytes(b.try_into().expect("8-byte word"))
+    }
+
+    let mut stripes = bytes.chunks_exact(32);
+    let mut h = if bytes.len() >= 32 {
+        let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in &mut stripes {
+            for (lane, w) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = round(*lane, word(w));
+            }
+        }
+        let [a, b, c, d] = lanes;
+        let mut h = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        for lane in lanes {
+            h = (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
+        }
+        h
+    } else {
+        P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+
+    let mut words = stripes.remainder().chunks_exact(8);
+    for w in &mut words {
+        h = (h ^ round(0, word(w))).rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+    }
+    let mut tail = words.remainder();
+    if tail.len() >= 4 {
+        let half = u32::from_le_bytes(tail[..4].try_into().expect("4-byte half-word"));
+        h = (h ^ u64::from(half).wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        h = (h ^ u64::from(b).wrapping_mul(P5)).rotate_left(11).wrapping_mul(P1);
+    }
+
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 #[cfg(test)]
@@ -422,11 +481,31 @@ mod tests {
     }
 
     #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    fn checksum_matches_published_xxh64_vectors() {
+        assert_eq!(checksum64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(checksum64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(checksum64(b"abc"), 0x44bc_2cf5_ad77_0999);
+    }
+
+    /// Known answers on the bytes `0, 1, 2, …` at every boundary: below
+    /// one stripe (words, half-word and byte tail), exactly one stripe,
+    /// one stripe plus one byte, one stripe plus a word, half-word and byte
+    /// tail, and two stripes.
+    #[test]
+    fn checksum_known_answers_at_lane_and_tail_boundaries() {
+        let cases: [(usize, u64); 7] = [
+            (0, 0xef46_db37_51d8_e999),
+            (1, 0xe934_a84a_db05_2768),
+            (31, 0xc346_d2b5_9b4d_8ee1),
+            (32, 0xcbf5_9c51_16ff_32b4),
+            (33, 0x0c53_5d1a_cafb_8ead),
+            (45, 0x10fd_d84d_6409_abdf),
+            (64, 0xf7c6_7301_db67_13f0),
+        ];
+        for (len, expected) in cases {
+            let input: Vec<u8> = (0..len as u8).collect();
+            assert_eq!(checksum64(&input), expected, "{len}-byte input");
+        }
     }
 
     #[test]
