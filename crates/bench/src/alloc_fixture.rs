@@ -8,6 +8,11 @@
 //! workload, or a layout-specific allocation regression could hide behind
 //! a fixture drift; this module is the single definition of that workload.
 //!
+//! A fourth measurement, [`measure_tail_refill_allocs`], drives the
+//! engine alone through a window span that provably includes a refill of
+//! the totals tail from the aggregate ring — the one totals path the
+//! simulator-fed fixture is not guaranteed to reach while it measures.
+//!
 //! The counter it reads is process-global, so a measurement only means
 //! something while no other thread in the process is building or running
 //! a fixture: every measurement holds one process-wide lock from warm-up
@@ -22,10 +27,12 @@ use headroom_cluster::sim::{RecordingPolicy, SimConfig, Simulation, SnapshotLayo
 use headroom_cluster::topology::FleetBuilder;
 use headroom_core::slo::QosRequirement;
 use headroom_exec::alloc_track;
-use headroom_online::planner::OnlinePlannerConfig;
+use headroom_online::planner::{OnlinePlannerConfig, PoolWindowAggregate};
+use headroom_online::store::{tail_capacity, PEAK_PERCENTILE};
 use headroom_online::sweep::SweepEngine;
-use headroom_telemetry::ids::DatacenterId;
-use headroom_telemetry::time::SimTime;
+use headroom_stats::percentile::top_values_needed;
+use headroom_telemetry::ids::{DatacenterId, PoolId};
+use headroom_telemetry::time::{SimTime, WindowIndex};
 use headroom_workload::events::{EventEffect, EventScript, ScheduledEvent};
 
 /// Windows per replan in the fixture; measured windows dodge the cadence.
@@ -122,8 +129,21 @@ fn warmed_with(
         ..SimConfig::default()
     };
     let mut sim = Simulation::new(fleet, events, sim_config);
+    let mut engine = fixture_engine(threads);
+    for _ in 0..WARM_WINDOWS {
+        observe_window(&mut sim, &mut engine, layout);
+    }
+    engine.drain_recommendations();
+    (sim, engine)
+}
+
+/// Ring capacity of the fixture's planner (a 12-value totals tail).
+const WINDOW_CAPACITY: usize = 64;
+
+/// The fixture's planner, replanning every [`REPLAN_EVERY`] windows.
+fn fixture_engine(threads: usize) -> SweepEngine {
     let config = OnlinePlannerConfig {
-        window_capacity: 64,
+        window_capacity: WINDOW_CAPACITY,
         min_fit_windows: 32,
         replan_every: REPLAN_EVERY,
         threads,
@@ -133,12 +153,71 @@ fn warmed_with(
         min_pool_chunk: 1,
         ..OnlinePlannerConfig::default()
     };
-    let mut engine = SweepEngine::new(config, QosRequirement::latency(50.0).with_cpu_ceiling(90.0));
-    for _ in 0..WARM_WINDOWS {
-        observe_window(&mut sim, &mut engine, layout);
+    SweepEngine::new(config, QosRequirement::latency(50.0).with_cpu_ceiling(90.0))
+}
+
+/// Windows between totals-tail refills under a strictly falling stream
+/// once the window is full: each window evicts the tail's maximum and the
+/// arrival (the new minimum) never joins, so a refilled tail of
+/// [`tail_capacity`] values shrinks by one per window and is refilled on
+/// the window it drops below what the peak reads. Any run of this many
+/// consecutive windows therefore contains a refill for every pool.
+pub fn tail_refill_period() -> u64 {
+    let need = top_values_needed(WINDOW_CAPACITY, PEAK_PERCENTILE);
+    (tail_capacity(WINDOW_CAPACITY) - need + 1) as u64
+}
+
+/// Pools in the refill fixture.
+const REFILL_POOLS: u32 = 3;
+
+/// One window of the refill fixture: every pool's per-server workload
+/// falls by one RPS a window (from 900), on the service-B response curves.
+fn falling_window(w: u64) -> Vec<(PoolId, PoolWindowAggregate)> {
+    (0..REFILL_POOLS)
+        .map(|p| {
+            let rps = 900.0 - w as f64 + f64::from(p) * 0.25;
+            let agg = PoolWindowAggregate {
+                window: WindowIndex(w),
+                rps_per_server: rps,
+                cpu_pct: 0.028 * rps + 1.37,
+                latency_p95_ms: 4.028e-5 * rps * rps - 0.031 * rps + 36.68,
+                disk_queue: 1.0,
+                memory_pages_per_sec: 4000.0,
+                network_mbps: 0.32 * rps,
+                active_servers: 8,
+            };
+            (PoolId(p), agg)
+        })
+        .collect()
+}
+
+/// Counts heap allocations over [`tail_refill_period`] warmed, non-replan
+/// windows of the engine fed a strictly falling workload (pre-aggregated,
+/// so the count covers the sweep alone) — a span that includes a totals
+/// tail refill from the aggregate ring in every pool. The inputs are built
+/// before the count starts. Same fixture contract as
+/// [`measure_steady_state_allocs`].
+///
+/// # Panics
+///
+/// Panics when the fixture is broken: the span would cross a replan tick,
+/// warm-up did not end on one, or the fleet is unplanned or urgent.
+pub fn measure_tail_refill_allocs(threads: usize) -> u64 {
+    let _exclusive = exclusive();
+    let period = tail_refill_period();
+    assert!(period < REPLAN_EVERY, "alloc fixture: the refill span must dodge the replan tick");
+    let mut engine = fixture_engine(threads);
+    for w in 0..WARM_WINDOWS {
+        engine.observe_aggregates(WindowIndex(w), &falling_window(w));
     }
     engine.drain_recommendations();
-    (sim, engine)
+    assert_fixture_ready(&engine);
+    let inputs: Vec<_> = (WARM_WINDOWS..WARM_WINDOWS + period).map(falling_window).collect();
+    let before = alloc_track::allocations();
+    for (w, window) in (WARM_WINDOWS..).zip(&inputs) {
+        engine.observe_aggregates(WindowIndex(w), window);
+    }
+    alloc_track::allocations() - before
 }
 
 /// Counts heap allocations over [`MEASURED_WINDOWS`] warmed, non-replan
@@ -164,7 +243,9 @@ pub fn measure_steady_state_allocs_scenario(threads: usize, layout: SnapshotLayo
     measure(warmed_scenario(threads, layout), layout)
 }
 
-fn measure((mut sim, mut engine): (Simulation, SweepEngine), layout: SnapshotLayout) -> u64 {
+/// The measured span starts right after a replan tick, on a planned fleet
+/// none of whose pools is urgent (urgent pools replan every window).
+fn assert_fixture_ready(engine: &SweepEngine) {
     assert!(
         engine.windows_seen().is_multiple_of(REPLAN_EVERY),
         "alloc fixture: warm-up must end on a replan tick"
@@ -174,6 +255,10 @@ fn measure((mut sim, mut engine): (Simulation, SweepEngine), layout: SnapshotLay
             && engine.assessments().values().all(|a| !a.band.needs_capacity()),
         "alloc fixture: the measured fleet must be planned and non-urgent"
     );
+}
+
+fn measure((mut sim, mut engine): (Simulation, SweepEngine), layout: SnapshotLayout) -> u64 {
+    assert_fixture_ready(&engine);
     let before = alloc_track::allocations();
     for _ in 0..MEASURED_WINDOWS {
         observe_window(&mut sim, &mut engine, layout);

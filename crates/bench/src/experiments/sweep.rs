@@ -14,7 +14,9 @@
 //!    (single-thread columnar cells through
 //!    `SweepEngine::enable_pass_timing`) records where the window goes —
 //!    aggregate build, the four plane passes, the scalar estimator pass,
-//!    and replanning. Full-scale release runs
+//!    and replanning; a totals-pass trajectory times the totals pass
+//!    while the default 1440-window ring fills and for half a ring past
+//!    it, where evictions and tail refills run. Full-scale release runs
 //!    extend the grid with a 65536-pool row and the million-pool stretch
 //!    window, and a regression guard fails the experiment when 16384-pool
 //!    per-pool cost exceeds [`PER_POOL_RATIO_CEILING`]× the 512-pool
@@ -58,9 +60,10 @@ use headroom_cluster::sim::{PartitionedSnapshot, RecordingPolicy, SnapshotLayout
 use headroom_core::report::render_table;
 use headroom_core::slo::QosRequirement;
 use headroom_exec::alloc_track;
-use headroom_online::planner::{OnlinePlannerConfig, SweepExec};
+use headroom_online::planner::{OnlinePlannerConfig, PoolWindowAggregate, SweepExec};
 use headroom_online::sweep::{SweepEngine, PASS_COUNT, PASS_NAMES};
 use headroom_service::checkpoint;
+use headroom_telemetry::ids::PoolId;
 use headroom_telemetry::time::WindowIndex;
 
 use crate::csv::CsvTable;
@@ -176,6 +179,22 @@ pub struct PassBreakdownCell {
     pub per_window_pass_ns: [u64; PASS_COUNT],
 }
 
+/// The totals pass across the life of a default-capacity window: its
+/// single-thread cost per window over three equal spans — the first and
+/// second half of the ring's fill, and the same length past capacity,
+/// where every window evicts and drained tails refill from the ring.
+/// Flat across the three is the top-K tail's contract; a sorted-window
+/// store grows with the window's length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TotalsTrajectory {
+    /// Pools in the synthetic fleet.
+    pub pools: u32,
+    /// Ring capacity (the default `window_capacity`).
+    pub window_capacity: usize,
+    /// Totals-pass nanoseconds per window over each span, in order.
+    pub per_window_ns: [u64; 3],
+}
+
 /// The experiment report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
@@ -199,6 +218,8 @@ pub struct SweepReport {
     /// Per-pass window-cost breakdown at the [`BREAKDOWN_POOLS`] shapes
     /// (debug builds keep the 4096 row only, like the scaling grid).
     pub pass_breakdown: Vec<PassBreakdownCell>,
+    /// The totals pass filling and past the default window capacity.
+    pub totals_trajectory: TotalsTrajectory,
     /// Heap allocations counted over the steady-state measurement windows
     /// of the row path (must be 0 when `alloc_tracking`).
     pub steady_state_allocs: u64,
@@ -615,6 +636,55 @@ fn measure_pass_breakdown() -> Vec<PassBreakdownCell> {
     cells
 }
 
+/// Pools in the totals trajectory (debug builds use fewer: the test path
+/// only checks the figure exists).
+const TRAJECTORY_POOLS: u32 = if cfg!(debug_assertions) { 32 } else { 1024 };
+
+/// Times the totals pass over [`TotalsTrajectory`]'s three spans: an
+/// engine at the default config (one thread, so every window is timed)
+/// fed pre-aggregated diurnal-plus-noise workload, so the cost is the
+/// store's alone.
+fn measure_totals_trajectory() -> TotalsTrajectory {
+    let config = OnlinePlannerConfig { threads: 1, ..OnlinePlannerConfig::default() };
+    let cap = config.window_capacity;
+    let span = (cap / 2) as u64;
+    let mut engine = SweepEngine::new(config, QosRequirement::latency(32.5).with_cpu_ceiling(90.0));
+    let totals = PASS_NAMES.iter().position(|&n| n == "totals").expect("a totals pass");
+    let mut per_window_ns = [0u64; 3];
+    let mut inputs = Vec::with_capacity(TRAJECTORY_POOLS as usize);
+    let mut w = 0u64;
+    for ns in &mut per_window_ns {
+        engine.enable_pass_timing();
+        for _ in 0..span {
+            inputs.clear();
+            inputs.extend((0..TRAJECTORY_POOLS).map(|p| {
+                // One sinusoid period per ring length, phase-shifted per
+                // pool, plus hashed jitter: tops arrive and leave all
+                // through the window.
+                let phase = (w + 37 * u64::from(p)) as f64 * std::f64::consts::TAU / cap as f64;
+                let jitter = ((w * 2_654_435_761 + u64::from(p) * 40_503) % 1000) as f64 / 50.0;
+                let rps = 300.0 + 120.0 * phase.sin() + jitter;
+                let agg = PoolWindowAggregate {
+                    window: WindowIndex(w),
+                    rps_per_server: rps,
+                    cpu_pct: 0.028 * rps + 1.37,
+                    latency_p95_ms: 4.028e-5 * rps * rps - 0.031 * rps + 36.68,
+                    disk_queue: 1.0,
+                    memory_pages_per_sec: 4000.0,
+                    network_mbps: 0.32 * rps,
+                    active_servers: 4,
+                };
+                (PoolId(p), agg)
+            }));
+            engine.observe_aggregates(WindowIndex(w), &inputs);
+            engine.drain_recommendations();
+            w += 1;
+        }
+        *ns = engine.pass_ns()[totals] / span;
+    }
+    TotalsTrajectory { pools: TRAJECTORY_POOLS, window_capacity: cap, per_window_ns }
+}
+
 /// Recorded windows of the million-pool fixture; the drive cycles them.
 const MILLION_RECORDED_WINDOWS: u64 = 12;
 /// Warm-up windows at the million-pool shape. Must exceed every ring
@@ -751,6 +821,7 @@ pub fn run(scale: &Scale) -> Result<SweepReport, Box<dyn Error>> {
     let checkpoint = measure_checkpoints(full);
     let million_pool = measure_million(full);
     let pass_breakdown = measure_pass_breakdown();
+    let totals_trajectory = measure_totals_trajectory();
     let alloc_tracking = alloc_track::is_tracking();
     // Both layouts measured on the one shared fixture (crate::alloc_fixture)
     // so the two counts always describe the same workload. The streamed
@@ -770,6 +841,7 @@ pub fn run(scale: &Scale) -> Result<SweepReport, Box<dyn Error>> {
         checkpoint,
         million_pool,
         pass_breakdown,
+        totals_trajectory,
         steady_state_allocs,
         columnar_steady_state_allocs,
         alloc_tracking,
@@ -1000,6 +1072,13 @@ impl SweepReport {
             ));
         }
         s.push_str("  ],\n");
+        let t = &self.totals_trajectory;
+        s.push_str(&format!(
+            "  \"totals_trajectory\": {{\"pools\": {}, \"window_capacity\": {}, \
+             \"per_window_ns\": {{\"first_half_fill\": {}, \"second_half_fill\": {}, \
+             \"past_capacity\": {}}}}},\n",
+            t.pools, t.window_capacity, t.per_window_ns[0], t.per_window_ns[1], t.per_window_ns[2]
+        ));
         s.push_str("  \"per_window_ns\": [\n");
         for (i, c) in self.scaling.iter().enumerate() {
             s.push_str(&format!(
@@ -1126,6 +1205,17 @@ impl fmt::Display for SweepReport {
                 parts.join(", ")
             )?;
         }
+        let t = &self.totals_trajectory;
+        writeln!(
+            f,
+            "totals pass at {} pools, window capacity {}: {:.1}µs/window first half of the \
+             fill, {:.1}µs second half, {:.1}µs past capacity",
+            t.pools,
+            t.window_capacity,
+            t.per_window_ns[0] as f64 / 1e3,
+            t.per_window_ns[1] as f64 / 1e3,
+            t.per_window_ns[2] as f64 / 1e3
+        )?;
         if let Some(ext) = self.cell(EXTENDED_POOLS, 1, "persistent", "columns") {
             writeln!(
                 f,
@@ -1288,6 +1378,10 @@ mod tests {
         }
         assert!(json.contains("\"pass_ns_breakdown\": ["), "pass breakdown serialized: {json}");
         assert!(json.contains("\"aggregate\":"), "pass names keyed in JSON: {json}");
+        let t = &r.totals_trajectory;
+        assert_eq!(t.window_capacity, OnlinePlannerConfig::default().window_capacity);
+        assert!(t.per_window_ns.iter().all(|&ns| ns > 0), "every span timed: {t:?}");
+        assert!(json.contains("\"past_capacity\": "), "trajectory serialized: {json}");
         assert!(r.million_pool.is_none(), "quick runs skip the million-pool stretch window");
         assert!(
             r.scaling.iter().all(|c| c.pools != EXTENDED_POOLS),

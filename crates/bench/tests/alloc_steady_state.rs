@@ -21,7 +21,8 @@
 //! fixture's lock from warm-up to the final count.
 
 use headroom_bench::alloc_fixture::{
-    measure_steady_state_allocs, measure_steady_state_allocs_scenario, MEASURED_WINDOWS,
+    measure_steady_state_allocs, measure_steady_state_allocs_scenario, measure_tail_refill_allocs,
+    tail_refill_period, MEASURED_WINDOWS,
 };
 use headroom_cluster::sim::SnapshotLayout;
 use headroom_exec::alloc_track::{is_tracking, CountingAllocator};
@@ -65,5 +66,24 @@ fn scenario_active_steady_state_window_allocates_nothing() {
                  {MEASURED_WINDOWS} windows)"
             );
         }
+    }
+}
+
+/// The same contract across a totals-tail refill: under a strictly
+/// falling workload every pool's tail runs short once per
+/// `tail_refill_period()` windows and is refilled from the aggregate ring,
+/// and the measured span is exactly that long.
+#[test]
+fn tail_refill_window_allocates_nothing() {
+    assert!(is_tracking(), "the counting allocator is installed");
+    for threads in [1usize, 2, 4] {
+        let delta = measure_tail_refill_allocs(threads);
+        assert_eq!(
+            delta,
+            0,
+            "a warmed window span with a totals-tail refill must not allocate \
+             (threads={threads}: {delta} allocations over {} windows)",
+            tail_refill_period()
+        );
     }
 }

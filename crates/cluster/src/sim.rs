@@ -511,8 +511,10 @@ pub struct Simulation {
     /// built lazily on the first columnar step.
     hw_col: Vec<HardwareGeneration>,
     pool_slices: Vec<PoolSlice>,
-    /// Stateful failure tracking: server id → first window it is repaired.
-    failed_until: HashMap<u32, u64>,
+    /// Stateful failure tracking, indexed by server id (fleets number
+    /// servers densely): the first window each server is repaired, 0 when
+    /// it has never failed.
+    failed_until: Vec<u64>,
     /// Per-pool datacenter routing weight, precomputed at construction
     /// (topology never changes mid-run).
     pool_weight: Vec<f64>,
@@ -578,6 +580,12 @@ impl Simulation {
                     .unwrap_or(1.0)
             })
             .collect();
+        let server_ids = fleet
+            .pools()
+            .iter()
+            .flat_map(|p| p.servers.iter().map(|s| s.id.0 as usize + 1))
+            .max()
+            .unwrap_or(0);
         Simulation {
             fleet,
             events,
@@ -594,7 +602,7 @@ impl Simulation {
             columns: SnapshotColumns::new(),
             hw_col: Vec::new(),
             pool_slices: Vec::new(),
-            failed_until: HashMap::new(),
+            failed_until: vec![0; server_ids],
             pool_weight,
             pool_demand: Vec::new(),
             group_demands: Vec::new(),
@@ -904,13 +912,11 @@ impl Simulation {
             let maint = pool.maintenance.is_offline(idx, pool_size, w, local_hour);
             let failed = match pool.failures {
                 Some(f) => {
-                    let key = server.id.0;
-                    let down =
-                        self.failed_until.get(&key).map(|&until| w.0 < until).unwrap_or(false);
-                    if down {
+                    let until = &mut self.failed_until[server.id.0 as usize];
+                    if w.0 < *until {
                         true
-                    } else if f.fails_at(key as u64, w) {
-                        self.failed_until.insert(key, w.0 + f.repair_windows);
+                    } else if f.fails_at(u64::from(server.id.0), w) {
+                        *until = w.0 + f.repair_windows;
                         true
                     } else {
                         false

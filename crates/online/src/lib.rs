@@ -24,8 +24,9 @@
 //!   its windowed buffers live in the store and reach it through a
 //!   [`store::ShardLane`];
 //! - [`store`] — [`store::ShardStore`], the slot-major shard-state store:
-//!   every pool's aggregate ring, sorted totals column, allocation
-//!   max-deque, and drift sub-window hoisted into engine-owned planes
+//!   every pool's aggregate ring, top-K totals tail (the exact p99 peak
+//!   without the whole sorted window), allocation max-deque, and drift
+//!   sub-window hoisted into engine-owned planes
 //!   (struct-of-arrays over the fleet), so a steady-state window *streams*
 //!   shard state instead of taking a dependent cache miss per heap buffer
 //!   per pool;

@@ -10,9 +10,10 @@
 //!   constraint is discovered, not assumed;
 //! - the workload→latency quadratic ([`headroom_stats::StreamingQuadFit`],
 //!   O(1));
-//! - an [`headroom_stats::OrderStatsMultiset`] of windowed total workload
-//!   (the p99 peak in O(log W)) and a
-//!   [`headroom_stats::MonotonicMaxDeque`] of the serving allocation;
+//! - the top of the windowed total workload — a short ascending tail of
+//!   its largest values, enough for the exact p99 peak (see
+//!   [`crate::store`]) — and a monotonic max-deque of the serving
+//!   allocation;
 //! - a whole-stream P² tracker of the pool's p95 latency;
 //! - a [`crate::drift::DriftDetector`] that discards stale history when the
 //!   response profile shifts;

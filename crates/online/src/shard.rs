@@ -4,8 +4,8 @@
 //! the *scalar* planner state of one pool — one response fit per resource
 //! plus the latency quadratic, the streaming latency quantile, drift
 //! detection, exhaustion projection, and the recommendation hysteresis
-//! state. The pool's *windowed* state (aggregate ring, sorted totals
-//! column, allocation max-deque, drift sub-window) lives in the
+//! state. The pool's *windowed* state (aggregate ring, totals tail,
+//! allocation max-deque, drift sub-window) lives in the
 //! engine-owned [`crate::store::ShardStore`] planes and is reached through
 //! the [`ShardLane`] passed into [`observe`]/[`replan`] — the slot-major
 //! layout that lets a fleet sweep stream shard state instead of
@@ -18,10 +18,12 @@
 //! Relative to the original monolithic `OnlinePlanner` loop, the per-window
 //! sizing path re-derives nothing from scratch:
 //!
-//! - the windowed p99 total-workload peak comes from the lane's sorted
-//!   totals column — eviction by streaming `memmove`, percentile by plain
-//!   indexing, bit-identical to the sort-based percentile (and to the treap
-//!   it replaced);
+//! - the windowed total-workload peak (the
+//!   [`crate::store::PEAK_PERCENTILE`]th percentile) comes from the lane's
+//!   top-K totals tail — a short `memmove` only when a top value arrives
+//!   or leaves, percentile by plain indexing, bit-identical to the
+//!   sort-based percentile (see `crate::store` for the one caveat, signed
+//!   zeros);
 //! - the maximum serving allocation comes from the lane's monotonic
 //!   max-deque (O(1) amortized);
 //! - both fits and the P² quantile were already O(1).
@@ -135,8 +137,9 @@ impl PoolShard {
         self.last_assessment.as_ref()
     }
 
-    /// Consumes one window's pool aggregate: one streaming `memmove` of the
-    /// lane's sorted totals column, O(1) for everything else.
+    /// Consumes one window's pool aggregate: O(1) apart from the lane's
+    /// totals tail (a short `memmove` when a top value arrives or leaves,
+    /// a scan of the ring in the rare window the tail runs short).
     pub fn observe(&mut self, agg: PoolWindowAggregate, lane: &mut impl ShardLane) {
         if let Some(evicted) = lane.agg_push(&agg) {
             for r in Resource::ALL {
@@ -144,8 +147,7 @@ impl PoolShard {
             }
             self.latency.remove(evicted.rps_per_server, evicted.latency_p95_ms);
             // total_rps() is a pure function of the evicted row, so the
-            // removal hits the exact value inserted when it arrived; the
-            // arriving total rides the same pass over the sorted segment.
+            // eviction hits the exact value inserted when it arrived.
             lane.totals_replace(evicted.total_rps(), agg.total_rps());
             lane.alloc_evict(evicted.active_servers);
         } else {
@@ -262,7 +264,7 @@ impl PoolShard {
         let (lat_quad, lat_r2) = self.latency.fit_quadratic().ok()?;
 
         let current_servers = lane.alloc_max()?.max(1);
-        let peak_total = lane.totals_percentile(99.0)?;
+        let peak_total = lane.totals_peak()?;
 
         // Per-server workload at the QoS limit — and *which* constraint
         // binds there. As in the batch CapacityForecaster::max_rps_per_server,

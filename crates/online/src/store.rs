@@ -10,7 +10,7 @@
 //! [`ShardStore`] hoists all four buffers into engine-owned planes
 //! ([`headroom_stats::plane`]): the aggregate ring and drift sub-window as
 //! slot-major [`RingPlane`]s (all pools' slot-k entries contiguous — the
-//! lockstep steady state streams them), the totals window and allocation
+//! lockstep steady state streams them), the totals tail and allocation
 //! deque as lane-major segments. A pool's *lane* is its position in the
 //! engine's pool-sorted shard list; pool arrivals rebuild the planes under
 //! an old→new lane mapping ([`ShardStore::remap`]), and steady-state
@@ -32,13 +32,42 @@
 //!   identical generic shard code and assert bit-identical results.
 //!
 //! Both backends implement the exact semantics of the structures they
-//! replaced (FIFO ring, [`headroom_stats::SortedWindow`],
-//! [`headroom_stats::MonotonicMaxDeque`]), so swapping the storage layout
-//! changes no planner output — the engine's bit-identity contract over
-//! threads, exec modes, and checkpoint round-trips is preserved.
+//! replaced (FIFO ring, [`headroom_stats::MonotonicMaxDeque`]), so
+//! swapping the storage layout changes no planner output — the engine's
+//! bit-identity contract over threads, exec modes, and checkpoint
+//! round-trips is preserved.
+//!
+//! # The totals tail
+//!
+//! The planner reads one order statistic of a pool's windowed total
+//! workload: its [`PEAK_PERCENTILE`]th percentile, which for a window of
+//! `n` values reads only the top [`top_values_needed`]`(n)` of them (16 of
+//! a full 1440-window day). So the store keeps, per lane, the window's
+//! finite-value count `n` and an ascending *tail* of its largest values in
+//! [`tail_capacity`] slots — twice what the peak needs at full window,
+//! plus slack — instead of the whole sorted window. Arrivals at or above
+//! the tail's minimum join it; evictions of held values leave it; when
+//! evictions have drained it below what the peak reads, it is refilled
+//! from the lane's aggregate ring, which holds exactly the window. A
+//! refill scans the lane's whole ring; the totals pass refills all of a
+//! tile's short lanes in one walk, slot by slot, so lanes in step read
+//! ring rows contiguously. The worst case is a strictly falling stream,
+//! where every eviction takes a top value and no arrival joins: a refill
+//! every `tail_capacity − need + 1` windows (25 at the default capacity).
+//! Workloads with a daily cycle refill about once per peak leaving the
+//! window.
+//!
+//! The tail answers the peak **exactly**, bit for bit, as the sorted
+//! window [`OwnedLane`] keeps — with one caveat: `+0.0` and `-0.0` compare
+//! equal, and a sorted window's order among equal values follows its
+//! insert history, so when both zeros sit at the tail's edge the sign of a
+//! zero peak may differ. The tail is exact at [`PEAK_PERCENTILE`] only;
+//! it cannot answer lower percentiles (a median needs half the window),
+//! and [`ShardLane`] offers none.
 
+use headroom_stats::percentile::top_values_needed;
 use headroom_stats::persist::{PersistError, Reader, Writer};
-use headroom_stats::plane::{DequePlane, RingCursors, RingPlane, SortedPlane};
+use headroom_stats::plane::{DequePlane, RingCursors, RingPlane, TailPlane};
 use headroom_stats::{MonotonicMaxDeque, SortedWindow};
 use headroom_telemetry::time::WindowIndex;
 
@@ -61,28 +90,18 @@ pub trait ShardLane {
     /// only read the counter fields.
     fn agg_push(&mut self, agg: &PoolWindowAggregate) -> Option<PoolWindowAggregate>;
 
-    /// Adds one value to the sorted totals window (non-finite ignored).
+    /// Adds the total of the aggregate just pushed to the totals window
+    /// (non-finite ignored).
     fn totals_insert(&mut self, v: f64);
 
-    /// Removes one occurrence of `v` from the totals window.
-    fn totals_remove(&mut self, v: f64) -> bool;
+    /// Evicts `old` — the total of the aggregate the ring push just
+    /// evicted — from the totals window and adds `new`: the steady-state
+    /// shape, where every arriving window also evicts one.
+    fn totals_replace(&mut self, old: f64, new: f64);
 
-    /// Replaces `old` with `new` in the totals window: exactly
-    /// [`totals_remove`]`(old)` then [`totals_insert`]`(new)`, which
-    /// backends fuse into one pass over the sorted segment — the
-    /// steady-state shape, where every arriving window also evicts one.
-    ///
-    /// [`totals_remove`]: ShardLane::totals_remove
-    /// [`totals_insert`]: ShardLane::totals_insert
-    fn totals_replace(&mut self, old: f64, new: f64) -> bool {
-        let removed = self.totals_remove(old);
-        self.totals_insert(new);
-        removed
-    }
-
-    /// The `p`-th percentile of the totals window, `None` when empty or
-    /// `p` is outside `0..=100`.
-    fn totals_percentile(&self, p: f64) -> Option<f64>;
+    /// The [`PEAK_PERCENTILE`]th percentile of the totals window, `None`
+    /// when it holds no finite value.
+    fn totals_peak(&self) -> Option<f64>;
 
     /// Feeds the allocation entering the window into the max-deque.
     fn alloc_push(&mut self, servers: usize);
@@ -110,6 +129,17 @@ const AGG_FIELDS: usize = 7;
 /// (x, y) pair width of the fused drift plane.
 const DRIFT_FIELDS: usize = 2;
 
+/// The percentile of windowed total workload a pool is sized against —
+/// the paper's p99 peak, as in the batch optimizer.
+pub const PEAK_PERCENTILE: f64 = 99.0;
+
+/// Slots per lane of the totals tail for windows of `window_cap`
+/// aggregates: twice the top values the peak reads at full window, plus
+/// slack (40 at the default 1440-window day). See the module docs.
+pub fn tail_capacity(window_cap: usize) -> usize {
+    2 * top_values_needed(window_cap, PEAK_PERCENTILE) + 8
+}
+
 /// Expands an old-lane → new-lane mapping to the sub-lane mapping of a
 /// plane that packs `fields` values per lane.
 fn expand_mapping(mapping: &[usize], fields: usize) -> Vec<usize> {
@@ -134,7 +164,9 @@ pub struct ShardStore {
     /// planes cost seven cache lines and seven prefetch streams per pool
     /// per window; the fused layout costs one of each.
     agg_plane: RingPlane,
-    totals: SortedPlane,
+    /// Per-lane top-[`tail_capacity`] totals tails with their window
+    /// counts (see the module docs).
+    totals: TailPlane,
     alloc: DequePlane,
     drift: RingCursors,
     /// Fused (x, y) drift plane, [`DRIFT_FIELDS`] sub-lanes per pool lane.
@@ -157,7 +189,7 @@ impl ShardStore {
             drift_cap,
             agg: RingCursors::new(window_cap, lanes),
             agg_plane: RingPlane::new(window_cap, lanes * AGG_FIELDS),
-            totals: SortedPlane::new(window_cap, lanes),
+            totals: TailPlane::new(tail_capacity(window_cap), lanes),
             alloc: DequePlane::new(window_cap, lanes),
             drift: RingCursors::new(drift_cap, lanes),
             drift_plane: RingPlane::new(drift_cap, lanes * DRIFT_FIELDS),
@@ -202,9 +234,10 @@ impl ShardStore {
                 w.put_f64(self.agg_plane.get(slot, lane * AGG_FIELDS + k));
             }
         }
-        let t = self.totals.len(lane);
-        w.put_u32(t as u32);
-        for &v in self.totals.as_slice(lane) {
+        let tail = self.totals.as_slice(lane);
+        w.put_u32(self.totals.count(lane) as u32);
+        w.put_u32(tail.len() as u32);
+        for &v in tail {
             w.put_f64(v);
         }
         let a = self.alloc.len(lane);
@@ -222,8 +255,11 @@ impl ShardStore {
     }
 
     /// Restores one lane from [`persist_lane`] bytes, validating every
-    /// structural invariant (lengths within capacity, totals ascending and
-    /// finite, deque non-increasing) before accepting.
+    /// structural invariant (lengths within capacity, a totals window that
+    /// counts the ring's finite totals, a tail that is finite, ascending,
+    /// and long enough to answer the peak, deque non-increasing) before
+    /// accepting. The tail is taken as persisted, never rebuilt from the
+    /// ring: a load costs one pass over the bytes.
     ///
     /// [`persist_lane`]: ShardStore::persist_lane
     pub fn restore_lane(&mut self, lane: usize, r: &mut Reader<'_>) -> Result<(), PersistError> {
@@ -231,25 +267,43 @@ impl ShardStore {
         if n > self.window_cap {
             return Err(PersistError::Invalid("aggregate ring length exceeds capacity"));
         }
+        // Finite totals (rps_per_server × active_servers, as `total_rps`)
+        // among the held aggregates: what the totals window must count.
+        let mut finite = 0;
         for i in 0..n {
-            for k in 0..AGG_FIELDS {
-                self.agg_plane.set(i, lane * AGG_FIELDS + k, r.take_f64()?);
+            let mut cell = [0.0; AGG_FIELDS];
+            for (k, v) in cell.iter_mut().enumerate() {
+                *v = r.take_f64()?;
+                self.agg_plane.set(i, lane * AGG_FIELDS + k, *v);
             }
+            finite += usize::from((cell[0] * cell[6]).is_finite());
         }
         if !self.agg.restore_lane(lane, n) {
             return Err(PersistError::Invalid("aggregate ring length exceeds capacity"));
         }
 
-        let t = r.take_u32()? as usize;
-        if t > self.window_cap {
-            return Err(PersistError::Invalid("totals window length exceeds capacity"));
+        let count = r.take_u32()? as usize;
+        let m = r.take_u32()? as usize;
+        if m > self.totals.cap() {
+            return Err(PersistError::Invalid("totals tail exceeds capacity"));
         }
-        let mut totals = Vec::with_capacity(t);
-        for _ in 0..t {
-            totals.push(r.take_f64()?);
+        if m > count {
+            return Err(PersistError::Invalid("totals tail longer than its window"));
         }
-        if !self.totals.restore_lane(lane, &totals) {
-            return Err(PersistError::Invalid("totals window values not finite ascending"));
+        // A refill takes the tail from the ring's finite totals, so the
+        // window must count exactly those.
+        if count != finite {
+            return Err(PersistError::Invalid("totals window disagrees with the aggregate ring"));
+        }
+        if m < top_values_needed(count, PEAK_PERCENTILE) {
+            return Err(PersistError::Invalid("totals tail too short for the peak"));
+        }
+        let mut tail = Vec::with_capacity(m);
+        for _ in 0..m {
+            tail.push(r.take_f64()?);
+        }
+        if !self.totals.restore_lane(lane, count, &tail) {
+            return Err(PersistError::Invalid("totals tail values not finite ascending"));
         }
 
         let a = r.take_u32()? as usize;
@@ -324,12 +378,13 @@ impl ShardLane for OwnedLane {
         self.totals.insert(v);
     }
 
-    fn totals_remove(&mut self, v: f64) -> bool {
-        self.totals.remove(v)
+    fn totals_replace(&mut self, old: f64, new: f64) {
+        self.totals.remove(old);
+        self.totals.insert(new);
     }
 
-    fn totals_percentile(&self, p: f64) -> Option<f64> {
-        self.totals.percentile(p).ok()
+    fn totals_peak(&self) -> Option<f64> {
+        self.totals.percentile(PEAK_PERCENTILE).ok()
     }
 
     fn alloc_push(&mut self, servers: usize) {
@@ -380,6 +435,9 @@ pub struct PassScratch {
     drift_slots: Vec<u32>,
     drift_evicting: Vec<bool>,
     drift_evicted: Vec<(f64, f64)>,
+    /// Store lanes of the range whose totals tails ran short this window
+    /// (pass 2's refill list); room for every lane of the range.
+    short: Vec<usize>,
     /// Streamed-tile kernel outputs: one pool's metric columns, evaluated
     /// by the sim-kernel pass and consumed by the aggregate pass while
     /// still cache-resident — the whole point of the streamed pipeline.
@@ -420,6 +478,8 @@ impl PassScratch {
         self.drift_evicting.clear();
         self.drift_evicting.resize(lanes, false);
         self.drift_evicted.resize(lanes, (0.0, 0.0));
+        self.short.clear();
+        self.short.reserve(lanes);
     }
 
     /// Lanes covered by the current range.
@@ -505,10 +565,12 @@ mod view {
     pub struct StoreView {
         lanes: usize,
         window_cap: usize,
+        tail_cap: usize,
         drift_cap: usize,
         agg_start: *mut u32,
         agg_len: *mut u32,
         agg: *mut f64,
+        totals_count: *mut u32,
         totals_len: *mut u32,
         totals: *mut f64,
         alloc_head: *mut u32,
@@ -531,10 +593,12 @@ mod view {
             StoreView {
                 lanes: store.lanes(),
                 window_cap: store.window_cap,
+                tail_cap: store.totals.cap(),
                 drift_cap: store.drift_cap,
                 agg_start: store.agg.starts_mut().as_mut_ptr(),
                 agg_len: store.agg.lens_mut().as_mut_ptr(),
                 agg: store.agg_plane.data_mut().as_mut_ptr(),
+                totals_count: store.totals.counts_mut().as_mut_ptr(),
                 totals_len: store.totals.lens_mut().as_mut_ptr(),
                 totals: store.totals.data_mut().as_mut_ptr(),
                 alloc_head: store.alloc.heads_mut().as_mut_ptr(),
@@ -614,34 +678,103 @@ mod view {
             }
         }
 
-        /// Pass 2: totals replace/insert across every present lane's sorted
-        /// segment — [`ShardLane::totals_replace`] when pass 1 evicted,
+        /// Pass 2: totals replace/insert across every present lane's tail —
+        /// [`ShardLane::totals_replace`] when pass 1 evicted,
         /// [`ShardLane::totals_insert`] otherwise, per lane. One streaming
-        /// walk over the lane-major totals plane.
-        pub fn pass_totals(&self, first_lane: usize, scratch: &PassScratch) {
+        /// walk over the lane-major totals plane; the lanes whose tails ran
+        /// short are then refilled together from their aggregate rings,
+        /// which pass 1 has already brought up to this window.
+        pub fn pass_totals(&self, first_lane: usize, scratch: &mut PassScratch) {
+            scratch.short.clear();
             for i in 0..scratch.lanes() {
                 if !scratch.present[i] {
                     continue;
                 }
                 let lane = first_lane + i;
-                // SAFETY: lane-disjoint segment access, as
-                // `LaneView::totals_seg`.
-                unsafe {
-                    let seg = std::slice::from_raw_parts_mut(
-                        self.totals.add(lane * self.window_cap),
-                        self.window_cap,
-                    );
-                    let len = &mut *self.totals_len.add(lane);
-                    let new = scratch.aggs[i].total_rps();
-                    if scratch.evicting[i] {
-                        headroom_stats::plane::sorted_seg_replace(
-                            seg,
-                            len,
-                            scratch.evicted[i].total_rps(),
-                            new,
-                        );
-                    } else {
-                        headroom_stats::plane::sorted_seg_insert(seg, len, new);
+                let old = scratch.evicting[i].then(|| scratch.evicted[i].total_rps());
+                // SAFETY: the caller owns the range's lanes exclusively.
+                if unsafe { self.totals_update(lane, old, scratch.aggs[i].total_rps()) } {
+                    scratch.short.push(lane);
+                }
+            }
+            // SAFETY: as above.
+            unsafe { self.refill_tails(&scratch.short) };
+        }
+
+        /// One lane's totals update for one window: evict `old` (when the
+        /// ring push evicted) and insert `new`. Returns whether the tail is
+        /// now too short to answer the peak, so it needs
+        /// [`StoreView::refill_tails`].
+        ///
+        /// # Safety
+        ///
+        /// The caller must own `lane` exclusively — the view's
+        /// lane-disjointness contract, as for [`StoreView::lane`].
+        unsafe fn totals_update(&self, lane: usize, old: Option<f64>, new: f64) -> bool {
+            use headroom_stats::plane::{tail_seg_evict, tail_seg_insert};
+            // SAFETY: per the view contract, this lane's tail segment
+            // [lane*tail_cap, (lane+1)*tail_cap) and its two cursors are
+            // accessed by this caller only.
+            unsafe {
+                let seg = std::slice::from_raw_parts_mut(
+                    self.totals.add(lane * self.tail_cap),
+                    self.tail_cap,
+                );
+                let len = &mut *self.totals_len.add(lane);
+                let count = &mut *self.totals_count.add(lane);
+                if let Some(old) = old {
+                    tail_seg_evict(seg, len, count, old);
+                }
+                tail_seg_insert(seg, len, count, new);
+                (*len as usize) < top_values_needed(*count as usize, PEAK_PERCENTILE)
+            }
+        }
+
+        /// Refills each of `lanes`' tails with the top of the finite totals
+        /// its aggregate ring holds (the product `total_rps` takes), offered
+        /// oldest first: a pure function of the lane's logical window, so a
+        /// restored lane refills exactly as a live one. The rings must
+        /// already hold this window's aggregates. The lanes are walked
+        /// slot by slot together, so lanes whose rings are in step (every
+        /// pool observed every window) read each ring row contiguously
+        /// rather than one row — a different page at fleet scale — per
+        /// slot per lane. Allocation-free.
+        ///
+        /// # Safety
+        ///
+        /// The caller must own every lane in `lanes` exclusively, as for
+        /// [`StoreView::lane`].
+        unsafe fn refill_tails(&self, lanes: &[usize]) {
+            use headroom_stats::plane::tail_seg_offer;
+            // SAFETY: per the view contract, these lanes' tail segments,
+            // cursors, and ring cells (slot, lane) are accessed by this
+            // caller only; every slot read is below the ring capacity.
+            unsafe {
+                let mut held_max = 0;
+                for &lane in lanes {
+                    *self.totals_len.add(lane) = 0;
+                    held_max = held_max.max(*self.agg_len.add(lane) as usize);
+                }
+                for i in 0..held_max {
+                    for &lane in lanes {
+                        if i >= *self.agg_len.add(lane) as usize {
+                            continue;
+                        }
+                        // start < cap and i < cap: one conditional
+                        // subtraction wraps the slot, no division.
+                        let mut slot = *self.agg_start.add(lane) as usize + i;
+                        if slot >= self.window_cap {
+                            slot -= self.window_cap;
+                        }
+                        let cell = self.agg.add((slot * self.lanes + lane) * AGG_FIELDS);
+                        let total = *cell * *cell.add(6);
+                        if total.is_finite() {
+                            let seg = std::slice::from_raw_parts_mut(
+                                self.totals.add(lane * self.tail_cap),
+                                self.tail_cap,
+                            );
+                            tail_seg_offer(seg, &mut *self.totals_len.add(lane), total);
+                        }
                     }
                 }
             }
@@ -731,34 +864,32 @@ mod view {
     }
 
     impl LaneView {
-        /// The lane's contiguous totals segment plus its length cursor.
-        ///
-        /// SAFETY (callers): lane-disjointness makes this the only live
-        /// reference to either.
-        unsafe fn totals_seg(&mut self) -> (&mut [f64], &mut u32) {
-            // SAFETY: per the view contract the lane segment
-            // [lane*cap, (lane+1)*cap) and the lane's cursor are accessed
-            // by exactly this LaneView.
-            unsafe {
-                let seg = std::slice::from_raw_parts_mut(
-                    self.v.totals.add(self.lane * self.v.window_cap),
-                    self.v.window_cap,
-                );
-                (seg, &mut *self.v.totals_len.add(self.lane))
-            }
-        }
-
         /// The lane's contiguous deque segment plus its cursors.
         ///
-        /// SAFETY (callers): lane-disjointness, as [`Self::totals_seg`].
+        /// SAFETY (callers): lane-disjointness makes this the only live
+        /// reference to any of them.
         unsafe fn alloc_seg(&mut self) -> (&mut [u64], &mut u32, &mut u32) {
-            // SAFETY: as totals_seg.
+            // SAFETY: per the view contract the lane segment
+            // [lane*cap, (lane+1)*cap) and the lane's cursors are accessed
+            // by exactly this LaneView.
             unsafe {
                 let seg = std::slice::from_raw_parts_mut(
                     self.v.alloc.add(self.lane * self.v.window_cap),
                     self.v.window_cap,
                 );
                 (seg, &mut *self.v.alloc_head.add(self.lane), &mut *self.v.alloc_len.add(self.lane))
+            }
+        }
+
+        /// [`StoreView::totals_update`] on this lane, refilling its tail
+        /// when it ran short — [`StoreView::pass_totals`] for one lane.
+        fn update_totals(&mut self, old: Option<f64>, new: f64) {
+            // SAFETY: lane-disjointness makes this LaneView the only
+            // accessor of its lane's tail, cursors and ring cells.
+            unsafe {
+                if self.v.totals_update(self.lane, old, new) {
+                    self.v.refill_tails(&[self.lane]);
+                }
             }
         }
     }
@@ -812,32 +943,26 @@ mod view {
         }
 
         fn totals_insert(&mut self, v: f64) {
-            // SAFETY: lane-disjoint segment access.
-            let (seg, len) = unsafe { self.totals_seg() };
-            headroom_stats::plane::sorted_seg_insert(seg, len, v);
+            self.update_totals(None, v);
         }
 
-        fn totals_remove(&mut self, v: f64) -> bool {
-            // SAFETY: lane-disjoint segment access.
-            let (seg, len) = unsafe { self.totals_seg() };
-            headroom_stats::plane::sorted_seg_remove(seg, len, v)
+        fn totals_replace(&mut self, old: f64, new: f64) {
+            self.update_totals(Some(old), new);
         }
 
-        fn totals_replace(&mut self, old: f64, new: f64) -> bool {
-            // SAFETY: lane-disjoint segment access.
-            let (seg, len) = unsafe { self.totals_seg() };
-            headroom_stats::plane::sorted_seg_replace(seg, len, old, new)
-        }
-
-        fn totals_percentile(&self, p: f64) -> Option<f64> {
-            // SAFETY: lane-disjoint shared read of this lane's segment.
+        fn totals_peak(&self) -> Option<f64> {
+            // SAFETY: lane-disjoint shared read of this lane's tail.
             unsafe {
-                let len = *self.v.totals_len.add(self.lane);
                 let seg = std::slice::from_raw_parts(
-                    self.v.totals.add(self.lane * self.v.window_cap),
-                    self.v.window_cap,
+                    self.v.totals.add(self.lane * self.v.tail_cap),
+                    self.v.tail_cap,
                 );
-                headroom_stats::plane::sorted_seg_percentile(seg, len, p)
+                headroom_stats::plane::tail_seg_percentile(
+                    seg,
+                    *self.v.totals_len.add(self.lane),
+                    *self.v.totals_count.add(self.lane),
+                    PEAK_PERCENTILE,
+                )
             }
         }
 
@@ -897,6 +1022,7 @@ mod view {
             unsafe {
                 *self.v.agg_start.add(self.lane) = 0;
                 *self.v.agg_len.add(self.lane) = 0;
+                *self.v.totals_count.add(self.lane) = 0;
                 *self.v.totals_len.add(self.lane) = 0;
                 *self.v.alloc_head.add(self.lane) = 0;
                 *self.v.alloc_len.add(self.lane) = 0;
@@ -911,6 +1037,7 @@ mod view {
 mod tests {
     use super::*;
     use headroom_stats::persist::{Reader, Writer};
+    use proptest::prelude::*;
 
     fn agg(w: u64, rps: f64, servers: usize) -> PoolWindowAggregate {
         PoolWindowAggregate {
@@ -937,15 +1064,14 @@ mod tests {
             assert_eq!(ev_a.map(|e| e.rps_per_server), ev_b.map(|e| e.rps_per_server));
             assert_eq!(ev_a.map(|e| e.active_servers), ev_b.map(|e| e.active_servers));
             if let (Some(ea), Some(eb)) = (ev_a, ev_b) {
-                assert_eq!(
-                    lane.totals_remove(ea.total_rps()),
-                    reference.totals_remove(eb.total_rps())
-                );
+                lane.totals_replace(ea.total_rps(), a.total_rps());
+                reference.totals_replace(eb.total_rps(), a.total_rps());
                 lane.alloc_evict(ea.active_servers);
                 reference.alloc_evict(eb.active_servers);
+            } else {
+                lane.totals_insert(a.total_rps());
+                reference.totals_insert(a.total_rps());
             }
-            lane.totals_insert(a.total_rps());
-            reference.totals_insert(a.total_rps());
             lane.alloc_push(a.active_servers);
             reference.alloc_push(a.active_servers);
             assert_eq!(
@@ -954,9 +1080,10 @@ mod tests {
             );
             assert_eq!(lane.agg_len(), reference.agg_len());
             assert_eq!(lane.alloc_max(), reference.alloc_max());
-            for p in [50.0, 99.0] {
-                assert_eq!(lane.totals_percentile(p), reference.totals_percentile(p));
-            }
+            assert_eq!(
+                lane.totals_peak().map(f64::to_bits),
+                reference.totals_peak().map(f64::to_bits)
+            );
         }
     }
 
@@ -983,7 +1110,7 @@ mod tests {
         view.lane(0).clear();
         assert_eq!(view.lane(0).agg_len(), 0);
         assert_eq!(view.lane(0).alloc_max(), None);
-        assert_eq!(view.lane(0).totals_percentile(50.0), None);
+        assert_eq!(view.lane(0).totals_peak(), None);
         assert_eq!(view.lane(1).agg_len(), 8, "clearing lane 0 leaves lane 1");
         // A cleared lane accepts a fresh stream identically to a fresh one.
         let mut reference = OwnedLane::new(8, 4);
@@ -994,12 +1121,16 @@ mod tests {
     fn pass_kernels_match_per_lane_ops() {
         // The plane-at-a-time passes against the per-lane ShardLane calls
         // (issued in the fused observe order), over lanes that skip windows
-        // on their own cadence so fill levels and evictions diverge.
+        // on their own cadence so fill levels and evictions diverge. The
+        // window (40) is longer than the totals tail (12), and lane 4's
+        // totals fall every window, so tails run short and refill.
         let lanes = 5;
-        let mut by_passes = ShardStore::with_lanes(6, 3, lanes);
-        let mut by_lane = ShardStore::with_lanes(6, 3, lanes);
+        let cap = 40;
+        assert!(tail_capacity(cap) < cap);
+        let mut by_passes = ShardStore::with_lanes(cap, 3, lanes);
+        let mut by_lane = ShardStore::with_lanes(cap, 3, lanes);
         let mut scratch = PassScratch::default();
-        for w in 0..40u64 {
+        for w in 0..160u64 {
             let pv = by_passes.view();
             let lv = by_lane.view();
             scratch.reset(lanes);
@@ -1007,10 +1138,15 @@ mod tests {
                 if !(w as usize + l).is_multiple_of(l + 1) {
                     continue; // lanes observe on their own cadence
                 }
-                scratch.set_input(l, agg(w, 180.0 + (w % 23) as f64 * 7.0 + l as f64, 3 + l % 4));
+                let rps = if l == 4 {
+                    5000.0 - w as f64 * 3.0
+                } else {
+                    180.0 + (w % 23) as f64 * 7.0 + l as f64
+                };
+                scratch.set_input(l, agg(w, rps, 3 + l % 4));
             }
             pv.pass_agg_push(0, &mut scratch);
-            pv.pass_totals(0, &scratch);
+            pv.pass_totals(0, &mut scratch);
             pv.pass_alloc(0, &scratch);
             pv.pass_drift_push(0, &mut scratch);
             for l in 0..lanes {
@@ -1035,10 +1171,15 @@ mod tests {
                     pair,
                     "lane {l} window {w}: evicted drift pair diverged"
                 );
+                assert_eq!(
+                    pv.lane(l).totals_peak().map(f64::to_bits),
+                    lv.lane(l).totals_peak().map(f64::to_bits),
+                    "lane {l} window {w}: peak diverged"
+                );
             }
             // A mid-run clear (the drift-reset path) must leave both sides
             // identical too.
-            if w == 25 {
+            if w == 85 {
                 by_passes.view().lane(2).clear();
                 by_lane.view().lane(2).clear();
             }
@@ -1099,15 +1240,44 @@ mod tests {
         let mut w = Writer::new();
         w.put_u32(5);
         corrupt(&w.into_bytes());
-        // Descending totals.
-        let mut w = Writer::new();
-        w.put_u32(0);
-        w.put_u32(2);
-        w.put_f64(2.0);
-        w.put_f64(1.0);
-        corrupt(&w.into_bytes());
+        // Totals tails: a ring of `ring` aggregates, then the window count
+        // and the tail, then empty deque and drift sub-window. The window
+        // capacity 4 keeps a tail of up to 12 values; p99 of 4 reads 2.
+        assert_eq!(tail_capacity(4), 12);
+        let lane_bytes = |ring: u32, count: u32, tail: &[f64]| {
+            let mut w = Writer::new();
+            w.put_u32(ring);
+            for i in 0..ring * AGG_FIELDS as u32 {
+                w.put_f64(f64::from(i));
+            }
+            w.put_u32(count);
+            w.put_u32(tail.len() as u32);
+            for &v in tail {
+                w.put_f64(v);
+            }
+            w.put_u32(0);
+            w.put_u32(0);
+            w.into_bytes()
+        };
+        let invalid = PersistError::Invalid;
+        for (ring, count, tail, why) in [
+            (4, 4, &[1.0; 13][..], "totals tail exceeds capacity"),
+            (4, 2, &[1.0, 2.0, 3.0][..], "totals tail longer than its window"),
+            (2, 3, &[1.0, 2.0, 3.0][..], "totals window disagrees with the aggregate ring"),
+            (4, 3, &[1.0, 2.0][..], "totals window disagrees with the aggregate ring"),
+            (4, 4, &[5.0][..], "totals tail too short for the peak"),
+            (4, 4, &[1.0, f64::NAN][..], "totals tail values not finite ascending"),
+            (4, 4, &[1.0, f64::INFINITY][..], "totals tail values not finite ascending"),
+            (4, 4, &[2.0, 1.0][..], "totals tail values not finite ascending"),
+        ] {
+            assert_eq!(corrupt(&lane_bytes(ring, count, tail)), invalid(why), "{why}");
+        }
+        let mut fresh = ShardStore::with_lanes(4, 2, 1);
+        let clean = lane_bytes(4, 4, &[1.0, 2.0]);
+        fresh.restore_lane(0, &mut Reader::new(&clean)).expect("a short clean tail restores");
         // Increasing alloc deque violates the monotonic invariant.
         let mut w = Writer::new();
+        w.put_u32(0);
         w.put_u32(0);
         w.put_u32(0);
         w.put_u32(2);
@@ -1119,11 +1289,12 @@ mod tests {
         w.put_u32(0);
         w.put_u32(0);
         w.put_u32(0);
+        w.put_u32(0);
         w.put_u32(3);
         corrupt(&w.into_bytes());
         // And a clean empty lane restores fine.
         let mut w = Writer::new();
-        for _ in 0..4 {
+        for _ in 0..5 {
             w.put_u32(0);
         }
         let clean = w.into_bytes();
@@ -1164,6 +1335,130 @@ mod tests {
         }
         for fresh in [0usize, 3] {
             assert_eq!(store.view().lane(fresh).agg_len(), 0);
+        }
+    }
+
+    /// Drives one lane the way `PoolShard::observe` does — ring push, then
+    /// totals replace (or insert while the ring fills) — with one total per
+    /// window (`rps` on one server).
+    fn push_total(lane: &mut impl ShardLane, w: u64, rps: f64, servers: usize) {
+        let a = agg(w, rps, servers);
+        match lane.agg_push(&a) {
+            Some(e) => lane.totals_replace(e.total_rps(), a.total_rps()),
+            None => lane.totals_insert(a.total_rps()),
+        }
+    }
+
+    #[test]
+    fn depleted_tail_roundtrips_and_keeps_refilling() {
+        // A falling stream past capacity drains the tail: every arrival is
+        // the window's minimum and every eviction its maximum.
+        let cap = 64;
+        let mut store = ShardStore::with_lanes(cap, 3, 1);
+        for w in 0..100u64 {
+            push_total(&mut store.view().lane(0), w, 1e5 - w as f64, 1);
+        }
+        let tail_len = store.totals.as_slice(0).len();
+        assert!(tail_len < tail_capacity(cap), "tail depleted ({tail_len} values)");
+        assert_eq!(store.totals.count(0), cap);
+
+        let mut w = Writer::new();
+        store.persist_lane(0, &mut w);
+        let bytes = w.into_bytes();
+        let mut restored = ShardStore::with_lanes(cap, 3, 1);
+        let mut r = Reader::new(&bytes);
+        restored.restore_lane(0, &mut r).expect("depleted tail restores");
+        assert!(r.is_empty());
+        let mut w2 = Writer::new();
+        restored.persist_lane(0, &mut w2);
+        assert_eq!(bytes, w2.into_bytes(), "byte-identical round trip");
+        assert_eq!(restored.totals.as_slice(0).len(), tail_len, "no refill on load");
+
+        // Both keep falling in lockstep through several refills.
+        for w in 100..200u64 {
+            push_total(&mut store.view().lane(0), w, 1e5 - w as f64, 1);
+            push_total(&mut restored.view().lane(0), w, 1e5 - w as f64, 1);
+            assert_eq!(
+                store.view().lane(0).totals_peak().map(f64::to_bits),
+                restored.view().lane(0).totals_peak().map(f64::to_bits)
+            );
+        }
+        let (mut a, mut b) = (Writer::new(), Writer::new());
+        store.persist_lane(0, &mut a);
+        restored.persist_lane(0, &mut b);
+        assert_eq!(a.into_bytes(), b.into_bytes());
+    }
+
+    #[test]
+    fn signed_zero_peaks_agree_in_value() {
+        // The documented caveat: +0.0 and -0.0 compare equal, so which
+        // one a sorted window reports depends on its insert history. The
+        // tail agrees in value (and in every other bit pattern).
+        let cap = 200;
+        let mut store = ShardStore::with_lanes(cap, 3, 1);
+        let mut reference = OwnedLane::new(cap, 3);
+        for w in 0..500u64 {
+            let rps = if w % 3 == 0 { -1.0 } else { 1.0 };
+            let servers = usize::from(w % 7 != 0);
+            push_total(&mut store.view().lane(0), w, rps, servers);
+            push_total(&mut reference, w, rps, servers);
+            assert_eq!(store.view().lane(0).totals_peak(), reference.totals_peak(), "window {w}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// The tail against the sorted window it replaced, bit for bit at
+        /// the peak percentile, through the exact per-window op sequence:
+        /// window capacities from 1 (tail longer than the window) to 2000
+        /// (tail ~2% of it), tie-heavy, continuous, strictly falling and
+        /// sawtooth totals, NaN and ±∞ totals, and a mid-stream clear.
+        fn tail_peak_matches_sorted_window(
+            small_cap in 1usize..=24,
+            large_cap in 1usize..2000,
+            pick_small in 0u32..3,
+            mode in 0u32..4,
+            seed in 0u64..1_000_000,
+            clear_frac in 0.0f64..1.5,
+        ) {
+            let cap = if pick_small == 0 { small_cap } else { large_cap };
+            let windows = 2 * cap as u64 + 100;
+            let clear_at = (clear_frac * windows as f64) as u64;
+            let mut store = ShardStore::with_lanes(cap, 3, 1);
+            let mut reference = OwnedLane::new(cap, 3);
+            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut draw = move |m: u64| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x % m
+            };
+            for w in 0..windows {
+                let (rps, servers) = match mode {
+                    0 => match draw(30) {
+                        0 => (f64::NAN, 2),
+                        1 => (f64::INFINITY, 1),
+                        2 => (f64::NEG_INFINITY, 3),
+                        _ => (draw(4) as f64 * 50.0, draw(3) as usize),
+                    },
+                    1 => (draw(1 << 20) as f64 / 1024.0, 1 + draw(8) as usize),
+                    2 => (1e7 - w as f64, 1),
+                    _ => ((w % 300).abs_diff(150) as f64 + draw(3) as f64, 2),
+                };
+                if w == clear_at {
+                    store.view().lane(0).clear();
+                    reference.clear();
+                }
+                push_total(&mut store.view().lane(0), w, rps, servers);
+                push_total(&mut reference, w, rps, servers);
+                let (got, want) = (store.view().lane(0).totals_peak(), reference.totals_peak());
+                prop_assert_eq!(
+                    got.map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "cap {} window {}: {:?} vs {:?}", cap, w, got, want
+                );
+            }
         }
     }
 }

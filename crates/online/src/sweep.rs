@@ -706,7 +706,7 @@ impl Persist for SweepEngine {
 /// The window runs **plane-at-a-time**, not pool-at-a-time: over each
 /// [`PASS_TILE`]-lane tile, pass 0 computes every pool's aggregate into
 /// the scratch, passes 1–4 push each windowed plane across the whole tile
-/// (aggregate ring, sorted totals, alloc deque, drift ring — see
+/// (aggregate ring, totals tail, alloc deque, drift ring — see
 /// [`StoreView`]'s pass entry points), and pass 5 applies the scalar shard
 /// updates ([`PoolShard::observe_scalar`]); replanning (pass 6) then runs
 /// over the whole chunk. Each pass walks one or two contiguous streams

@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"HRCP"
-//! 4       4     format version, u32 LE (currently 4)
+//! 4       4     format version, u32 LE (currently 5)
 //! 8       8     checksum64 (XXH64) of the payload, u64 LE
 //! 16      8     payload length in bytes, u64 LE
 //! 24      n     payload: SweepEngine::persist
@@ -35,9 +35,11 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"HRCP";
 /// Current checkpoint format version. Bumped whenever the frame or the
 /// payload encoding changes shape (v3: `StreamingLinReg` moved from
 /// centered moments to shift-pinned power sums; v4: the frame checksum
-/// went from FNV-1a 64 to [`checksum64`]); [`load`] refuses versions it
-/// does not know rather than guessing.
-pub const CHECKPOINT_VERSION: u32 = 4;
+/// went from FNV-1a 64 to [`checksum64`]; v5: each pool's totals window
+/// is persisted as its finite-value count plus the top-K tail the p99
+/// peak reads, instead of the whole sorted window); [`load`] refuses
+/// versions it does not know rather than guessing.
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// Bytes of frame before the payload: magic + version + checksum + length.
 pub(crate) const HEADER_LEN: usize = 4 + 4 + 8 + 8;
@@ -286,8 +288,9 @@ mod tests {
         let mut engine = engine(test_config(0));
         drive(&mut engine, 0, 10);
         let mut bytes = save(&engine);
-        // v3 is the previous format (FNV-1a 64 checksum): no reader remains.
-        for version in [3u32, 99] {
+        // v3 (FNV-1a 64 checksum) and v4 (whole sorted totals windows) are
+        // earlier formats: no reader remains.
+        for version in [3u32, 4, 99] {
             bytes[4..8].copy_from_slice(&version.to_le_bytes());
             assert_eq!(load(&bytes).unwrap_err(), CheckpointError::UnsupportedVersion(version));
         }

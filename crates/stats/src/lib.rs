@@ -18,7 +18,7 @@
 //!   maxima, the structures behind the streaming planner's per-window
 //!   sizing path;
 //! - [`plane`] — the struct-of-arrays counterparts of those windows: one
-//!   flat allocation holding *every* pool's ring/sorted-window/max-deque,
+//!   flat allocation holding *every* pool's ring/top-K tail/max-deque,
 //!   indexed by lane, so a fleet-wide sweep streams its state instead of
 //!   pointer-chasing one heap buffer per pool;
 //! - [`combine`] — the canonical shard-and-combine trait those streaming
@@ -86,7 +86,7 @@ pub use linreg::LinearFit;
 pub use monotonic::MonotonicMaxDeque;
 pub use order_stats::OrderStatsMultiset;
 pub use persist::{Persist, PersistError, Reader, Writer};
-pub use plane::{DequePlane, RingCursors, RingPlane, SortedPlane};
+pub use plane::{DequePlane, RingCursors, RingPlane, TailPlane};
 pub use polyfit::{Polynomial, Quadratic};
 pub use quadfit::StreamingQuadFit;
 pub use sorted_window::SortedWindow;

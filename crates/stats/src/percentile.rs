@@ -57,19 +57,51 @@ pub fn percentile(values: &[f64], p: f64) -> Result<f64, StatsError> {
 ///
 /// Panics in debug builds if `sorted` is empty.
 pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
-    debug_assert!(!sorted.is_empty(), "percentile_of_sorted requires non-empty input");
-    if sorted.len() == 1 {
-        return sorted[0];
+    percentile_of_sorted_top(sorted, sorted.len(), p)
+}
+
+/// The `p`-th percentile of an `n`-value window of which only the largest
+/// values are held: `top` is the ascending suffix `sorted[n - top.len()..]`
+/// of the window's sorted values. The arithmetic is exactly
+/// [`percentile_of_sorted`]'s (which is this function with `top` the whole
+/// window), so the result is bit-identical whenever `top` holds at least
+/// [`top_values_needed`]`(n, p)` values.
+///
+/// # Panics
+///
+/// Panics in debug builds if `n` is zero or `top` is too short (or longer
+/// than `n`); release builds index out of bounds in the second case.
+pub fn percentile_of_sorted_top(top: &[f64], n: usize, p: f64) -> f64 {
+    debug_assert!(n > 0, "percentile of an empty window");
+    debug_assert!(
+        top.len() <= n && top.len() >= top_values_needed(n, p),
+        "{} held values cannot answer p{p} of {n}",
+        top.len()
+    );
+    let offset = n - top.len();
+    if n == 1 {
+        return top[0];
     }
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
+    let rank = p / 100.0 * (n - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
     if lo == hi {
-        sorted[lo]
+        top[lo - offset]
     } else {
         let frac = rank - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        top[lo - offset] * (1.0 - frac) + top[hi - offset] * frac
     }
+}
+
+/// How many of an `n`-value window's largest values the R-7 `p`-th
+/// percentile reads: `n - floor(p/100 · (n - 1))`, computed with
+/// [`percentile_of_sorted`]'s own rank expression, or `n` when `n ≤ 1`.
+/// Non-decreasing in `n`.
+pub fn top_values_needed(n: usize, p: f64) -> usize {
+    if n <= 1 {
+        return n;
+    }
+    n - (p / 100.0 * (n - 1) as f64).floor() as usize
 }
 
 /// The standard five-point percentile profile used as a grouping feature.
@@ -182,5 +214,26 @@ mod tests {
     fn unsorted_input_handled() {
         let data = [50.0, 10.0, 40.0, 20.0, 30.0];
         assert_eq!(percentile(&data, 50.0).unwrap(), 30.0);
+    }
+
+    #[test]
+    fn top_suffix_answers_like_the_whole_window() {
+        // The paper's daily window: the p99 of 1440 values reads the top 16.
+        assert_eq!(top_values_needed(1440, 99.0), 16);
+        assert_eq!(top_values_needed(0, 99.0), 0);
+        assert_eq!(top_values_needed(1, 99.0), 1);
+        assert_eq!(top_values_needed(2, 99.0), 2);
+        for n in 1..600usize {
+            let mut sorted: Vec<f64> = (0..n).map(|i| ((i * 7919) % 613) as f64 * 0.37).collect();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            for p in [0.0, 50.0, 95.0, 99.0, 100.0] {
+                let need = top_values_needed(n, p);
+                assert!(need >= 1 && need <= n);
+                assert!(top_values_needed(n + 1, p) >= need, "non-decreasing in n");
+                let whole = percentile_of_sorted(&sorted, p);
+                let top = percentile_of_sorted_top(&sorted[n - need..], n, p);
+                assert_eq!(top.to_bits(), whole.to_bits(), "n={n} p={p}");
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Engine-owned state planes: many sliding windows, one allocation.
 //!
 //! The streaming planner keeps four small side buffers *per pool* —
-//! aggregate ring, sorted totals window, drift sub-window, allocation
+//! aggregate ring, top-K totals tail, drift sub-window, allocation
 //! max-deque. Owned individually (a `VecDeque`/`Vec` per pool) each is a
 //! separate heap object, so a fleet sweep pays a dependent cache/TLB miss
 //! per pool per buffer per window: at 16k pools the planner spent ~2× the
@@ -15,25 +15,26 @@
 //!   lane)` lives at `slot * lanes + lane`, so in the lockstep steady state
 //!   (every pool pushes into the same ring slot each window) consecutive
 //!   lanes hit consecutive addresses — the sweep *streams* the plane;
-//! - **lane-major** ([`SortedPlane`], [`DequePlane`]): each lane owns the
+//! - **lane-major** ([`TailPlane`], [`DequePlane`]): each lane owns the
 //!   contiguous segment `[lane * cap, (lane + 1) * cap)`, the right shape
-//!   for structures whose per-window work is a `memmove` within one lane
-//!   (sorted insert/evict) or a head/tail walk (monotonic deque).
+//!   for structures whose per-window work is a short `memmove` within one
+//!   lane (top-K tail insert/evict) or a head/tail walk (monotonic deque).
 //!
-//! The per-lane operations are exposed both as methods and as free
-//! `*_seg_*` functions over raw `(segment, cursor)` pairs, so a caller that
+//! The per-lane operations are exposed as free `*_seg_*` functions over
+//! raw `(segment, cursor)` pairs (the deque's also as methods), so a caller that
 //! partitions lanes across threads can drive disjoint lanes through the
 //! exact same code path the single-threaded methods use — semantics (and
 //! results) are bit-identical by construction to the per-pool structures
-//! they replace ([`crate::sorted_window::SortedWindow`],
-//! [`crate::monotonic::MonotonicMaxDeque`], a FIFO ring), which the unit
-//! tests pin differentially.
+//! they replace ([`crate::monotonic::MonotonicMaxDeque`], a FIFO ring, and
+//! — for the percentiles its tail can answer —
+//! [`crate::sorted_window::SortedWindow`]), which the unit tests pin
+//! differentially.
 //!
 //! Lane count changes only when pools arrive: [`RingPlane::remap`] and
 //! friends rebuild the planes under an old-lane → new-lane mapping (a
 //! growth-window allocation; steady-state windows never reallocate).
 
-use crate::percentile::percentile_of_sorted;
+use crate::percentile::{percentile_of_sorted_top, top_values_needed};
 
 /// Shared ring-buffer geometry for a family of [`RingPlane`]s: per-lane
 /// `start`/`len` cursors over a common capacity.
@@ -255,169 +256,139 @@ pub fn ring_push_slots(
     }
 }
 
-/// Inserts `v` into the sorted prefix `seg[..*len]` (ascending, duplicates
-/// kept). Non-finite values are ignored — exactly
-/// [`crate::sorted_window::SortedWindow::insert`].
-pub fn sorted_seg_insert(seg: &mut [f64], len: &mut u32, v: f64) {
+/// Offers `v` to the ascending top-`K` segment `seg[..*len]` (`K =
+/// seg.len()`): inserted while there is room, otherwise swapped in for the
+/// minimum only if strictly larger. Equal values are placed before their
+/// equals, as [`crate::sorted_window::SortedWindow::insert`] places them.
+/// The building block of [`tail_seg_insert`] and of a tail rebuild.
+pub fn tail_seg_offer(seg: &mut [f64], len: &mut u32, v: f64) {
+    let m = *len as usize;
+    if m < seg.len() {
+        let at = seg[..m].partition_point(|&x| x < v);
+        seg.copy_within(at..m, at + 1);
+        seg[at] = v;
+        *len = (m + 1) as u32;
+    } else if v > seg[0] {
+        let at = seg.partition_point(|&x| x < v);
+        seg.copy_within(1..at, 0);
+        seg[at - 1] = v;
+    }
+}
+
+/// Adds one value to a window tracked by its *top-`K` tail*: `*count` is
+/// the number of finite values in the window and `seg[..*len]` holds, in
+/// ascending order, exactly its `*len` largest. Non-finite values are
+/// ignored, as [`crate::sorted_window::SortedWindow::insert`] ignores them.
+///
+/// `v` joins the tail when the tail was the whole window or when `v` is at
+/// least the tail's minimum (a full tail swaps it in for the minimum only
+/// when strictly larger) — either way the tail stays the exact top of the
+/// window. It never shrinks here; see [`tail_seg_evict`].
+pub fn tail_seg_insert(seg: &mut [f64], len: &mut u32, count: &mut u32, v: f64) {
     if !v.is_finite() {
         return;
     }
-    let n = *len as usize;
-    debug_assert!(n < seg.len(), "sorted lane overflow: window outgrew its plane");
-    if n >= seg.len() {
+    let (n, m) = (*count, *len);
+    *count = n + 1;
+    if m == n || (m > 0 && v >= seg[0]) {
+        tail_seg_offer(seg, len, v);
+    }
+}
+
+/// Removes one value that is leaving the window: a value at least the
+/// tail's minimum is one of the held top values, so one copy of it leaves
+/// the tail; anything smaller was never held. The tail therefore shrinks
+/// by one each time a top value leaves, and the owner refills it (from the
+/// window itself) once it is too short to answer its percentile.
+pub fn tail_seg_evict(seg: &mut [f64], len: &mut u32, count: &mut u32, v: f64) {
+    if !v.is_finite() || *count == 0 {
         return;
     }
-    let at = seg[..n].partition_point(|&x| x < v);
-    seg.copy_within(at..n, at + 1);
-    seg[at] = v;
-    *len = (n + 1) as u32;
-}
-
-/// Removes one occurrence of `v` from the sorted prefix `seg[..*len]`.
-/// Returns whether a value was removed — exactly
-/// [`crate::sorted_window::SortedWindow::remove`].
-pub fn sorted_seg_remove(seg: &mut [f64], len: &mut u32, v: f64) -> bool {
-    if !v.is_finite() {
-        return false;
-    }
-    let n = *len as usize;
-    let at = seg[..n].partition_point(|&x| x < v);
-    if at < n && seg[at] == v {
-        seg.copy_within(at + 1..n, at);
-        *len = (n - 1) as u32;
-        true
-    } else {
-        false
+    *count -= 1;
+    let m = *len as usize;
+    if m > 0 && v >= seg[0] {
+        let at = seg[..m].partition_point(|&x| x < v);
+        if at < m && seg[at] == v {
+            seg.copy_within(at + 1..m, at);
+            *len = (m - 1) as u32;
+        }
     }
 }
 
-/// Replaces one occurrence of `old` with `new` in the sorted prefix:
-/// exactly [`sorted_seg_remove`]`(old)` followed by
-/// [`sorted_seg_insert`]`(new)`, fused so the elements between the two
-/// positions move once instead of the whole tail moving twice — the
-/// steady-state shape of a full sliding window, where every arrival also
-/// evicts. Returns whether `old` was removed.
-pub fn sorted_seg_replace(seg: &mut [f64], len: &mut u32, old: f64, new: f64) -> bool {
-    if !new.is_finite() {
-        return sorted_seg_remove(seg, len, old);
-    }
-    if !old.is_finite() {
-        sorted_seg_insert(seg, len, new);
-        return false;
-    }
-    let n = *len as usize;
-    let at_r = seg[..n].partition_point(|&x| x < old);
-    if !(at_r < n && seg[at_r] == old) {
-        sorted_seg_insert(seg, len, new);
-        return false;
-    }
-    let at_i = seg[..n].partition_point(|&x| x < new);
-    if at_i <= at_r {
-        seg.copy_within(at_i..at_r, at_i + 1);
-        seg[at_i] = new;
-    } else {
-        // `old` sits below every element ≥ `new`, so its removal shifts
-        // the insertion point down by one.
-        seg.copy_within(at_r + 1..at_i, at_r);
-        seg[at_i - 1] = new;
-    }
-    true
-}
-
-/// The `p`-th percentile of the sorted prefix `seg[..len]` — the same NIST
-/// R-7 arithmetic as [`crate::sorted_window::SortedWindow::percentile`],
-/// `None` on an empty prefix or `p` outside `0..=100`.
-pub fn sorted_seg_percentile(seg: &[f64], len: u32, p: f64) -> Option<f64> {
-    let n = len as usize;
-    if n == 0 || !(0.0..=100.0).contains(&p) {
+/// The `p`-th percentile of a `count`-value window from its tail
+/// `seg[..len]` — [`percentile_of_sorted_top`], so bit-identical to the
+/// sorted window's R-7 answer. `None` on an empty window, `p` outside
+/// `0..=100`, or a tail shorter than [`top_values_needed`]`(count, p)` or
+/// longer than the window.
+pub fn tail_seg_percentile(seg: &[f64], len: u32, count: u32, p: f64) -> Option<f64> {
+    let (n, m) = (count as usize, len as usize);
+    if n == 0 || m > n || !(0.0..=100.0).contains(&p) || m < top_values_needed(n, p) {
         return None;
     }
-    Some(percentile_of_sorted(&seg[..n], p))
+    Some(percentile_of_sorted_top(&seg[..m], n, p))
 }
 
-/// Lane-major sorted sliding windows: lane `l` owns the ascending prefix
-/// `data[l * cap ..][..len[l]]`. Per-lane semantics are exactly
-/// [`crate::sorted_window::SortedWindow`] with a capacity bound (the
-/// planner's totals window never outgrows its aggregate ring).
+/// Lane-major top-`K` tails: lane `l` owns the ascending prefix
+/// `data[l * cap ..][..len[l]]` of a `cap`-slot segment, holding the
+/// largest `len[l]` of the `count[l]` finite values in its window (see
+/// [`tail_seg_insert`]).
 #[derive(Debug, Clone, PartialEq)]
-pub struct SortedPlane {
+pub struct TailPlane {
     cap: usize,
+    count: Vec<u32>,
     len: Vec<u32>,
     data: Vec<f64>,
 }
 
-impl SortedPlane {
-    /// `lanes` empty windows of at most `cap` values each.
+impl TailPlane {
+    /// `lanes` empty tails of at most `cap` values each.
     pub fn new(cap: usize, lanes: usize) -> Self {
         let cap = cap.max(1);
-        SortedPlane { cap, len: vec![0; lanes], data: vec![0.0; cap * lanes] }
+        TailPlane { cap, count: vec![0; lanes], len: vec![0; lanes], data: vec![0.0; cap * lanes] }
     }
 
-    /// Values per lane at most.
+    /// Tail slots per lane (`K`).
     pub fn cap(&self) -> usize {
         self.cap
     }
 
-    /// Values held in `lane`.
-    pub fn len(&self, lane: usize) -> usize {
-        self.len[lane] as usize
+    /// Finite values in `lane`'s window.
+    pub fn count(&self, lane: usize) -> usize {
+        self.count[lane] as usize
     }
 
-    /// The held values of `lane`, ascending.
+    /// The held top values of `lane`, ascending.
     pub fn as_slice(&self, lane: usize) -> &[f64] {
         &self.data[lane * self.cap..][..self.len[lane] as usize]
     }
 
-    /// Adds one value to `lane` ([`sorted_seg_insert`]).
-    pub fn insert(&mut self, lane: usize, v: f64) {
-        let seg = &mut self.data[lane * self.cap..][..self.cap];
-        sorted_seg_insert(seg, &mut self.len[lane], v);
-    }
-
-    /// Removes one occurrence of `v` from `lane` ([`sorted_seg_remove`]).
-    pub fn remove(&mut self, lane: usize, v: f64) -> bool {
-        let seg = &mut self.data[lane * self.cap..][..self.cap];
-        sorted_seg_remove(seg, &mut self.len[lane], v)
-    }
-
-    /// Replaces `old` with `new` in `lane` ([`sorted_seg_replace`]).
-    pub fn replace(&mut self, lane: usize, old: f64, new: f64) -> bool {
-        let seg = &mut self.data[lane * self.cap..][..self.cap];
-        sorted_seg_replace(seg, &mut self.len[lane], old, new)
-    }
-
-    /// The `p`-th percentile of `lane` ([`sorted_seg_percentile`]).
-    pub fn percentile(&self, lane: usize, p: f64) -> Option<f64> {
-        sorted_seg_percentile(&self.data[lane * self.cap..][..self.cap], self.len[lane], p)
-    }
-
-    /// Empties `lane`.
-    pub fn clear_lane(&mut self, lane: usize) {
-        self.len[lane] = 0;
-    }
-
-    /// Restores `lane` to exactly `values` (must be ascending, finite, and
-    /// within capacity — returns false and leaves the lane empty
-    /// otherwise). The validation mirrors
-    /// [`crate::sorted_window::SortedWindow`]'s restore.
-    pub fn restore_lane(&mut self, lane: usize, values: &[f64]) -> bool {
+    /// Restores `lane` to a window of `count` finite values whose top is
+    /// exactly `values` (must be finite, ascending, no longer than the
+    /// capacity or than `count` — returns false and leaves the lane empty
+    /// otherwise).
+    pub fn restore_lane(&mut self, lane: usize, count: usize, values: &[f64]) -> bool {
         use std::cmp::Ordering::{Equal, Less};
-        self.clear_lane(lane);
+        self.count[lane] = 0;
+        self.len[lane] = 0;
         if values.len() > self.cap
+            || values.len() > count
+            || u32::try_from(count).is_err()
             || values.iter().any(|v| !v.is_finite())
             || !values.windows(2).all(|p| matches!(p[0].partial_cmp(&p[1]), Some(Less | Equal)))
         {
             return false;
         }
         self.data[lane * self.cap..][..values.len()].copy_from_slice(values);
+        self.count[lane] = count as u32;
         self.len[lane] = values.len() as u32;
         true
     }
 
     /// Rebuilds the plane under an old-lane → new-lane `mapping`.
-    pub fn remap(&self, mapping: &[usize], new_lanes: usize) -> SortedPlane {
-        let mut out = SortedPlane::new(self.cap, new_lanes);
+    pub fn remap(&self, mapping: &[usize], new_lanes: usize) -> TailPlane {
+        let mut out = TailPlane::new(self.cap, new_lanes);
         for (old, &new) in mapping.iter().enumerate() {
+            out.count[new] = self.count[old];
             out.len[new] = self.len[old];
             out.data[new * self.cap..][..self.cap]
                 .copy_from_slice(&self.data[old * self.cap..][..self.cap]);
@@ -430,7 +401,12 @@ impl SortedPlane {
         &mut self.data
     }
 
-    /// Per-lane lengths (raw view hook).
+    /// Per-lane window counts (raw view hook).
+    pub fn counts_mut(&mut self) -> &mut [u32] {
+        &mut self.count
+    }
+
+    /// Per-lane tail lengths (raw view hook).
     pub fn lens_mut(&mut self) -> &mut [u32] {
         &mut self.len
     }
@@ -647,73 +623,83 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sorted_plane_matches_sorted_window() {
-        let cap = 33;
-        let lanes = 3;
-        let mut plane = SortedPlane::new(cap, lanes);
-        let mut reference: Vec<SortedWindow> = (0..lanes).map(|_| SortedWindow::new()).collect();
-        let mut windows: Vec<VecDeque<f64>> = vec![VecDeque::new(); lanes];
-        let mut x = 3u64;
-        for step in 0..600 {
-            let lane = step % lanes;
-            let v = lcg(&mut x);
-            if windows[lane].len() == cap {
-                let evicted = windows[lane].pop_front().unwrap();
-                assert_eq!(plane.remove(lane, evicted), reference[lane].remove(evicted));
+    /// One tail driven the way its owner drives it: insert each arrival,
+    /// evict the value leaving a `cap`-value FIFO window, and refill the
+    /// tail from the window once it is shorter than the percentile needs.
+    /// Returns how many refills ran.
+    fn drive_tail(cap: usize, k: usize, p: f64, values: &[f64]) -> usize {
+        let mut seg = vec![0.0; k];
+        let (mut len, mut count) = (0u32, 0u32);
+        let mut window: VecDeque<f64> = VecDeque::new();
+        let mut reference = SortedWindow::new();
+        let mut refills = 0;
+        for (step, &v) in values.iter().enumerate() {
+            if window.len() == cap {
+                let old = window.pop_front().unwrap();
+                tail_seg_evict(&mut seg, &mut len, &mut count, old);
+                reference.remove(old);
             }
-            windows[lane].push_back(v);
-            plane.insert(lane, v);
-            reference[lane].insert(v);
-            assert_eq!(plane.as_slice(lane), reference[lane].as_sorted_slice());
-            for p in [0.0, 50.0, 99.0, 100.0] {
-                assert_eq!(plane.percentile(lane, p), reference[lane].percentile(p).ok());
+            window.push_back(v);
+            tail_seg_insert(&mut seg, &mut len, &mut count, v);
+            reference.insert(v);
+            if (len as usize) < top_values_needed(count as usize, p) {
+                refills += 1;
+                len = 0;
+                for &w in window.iter().filter(|w| w.is_finite()) {
+                    tail_seg_offer(&mut seg, &mut len, w);
+                }
             }
+            let sorted = reference.as_sorted_slice();
+            assert_eq!(count as usize, sorted.len(), "step {step}: window count");
+            assert_eq!(&seg[..len as usize], &sorted[sorted.len() - len as usize..], "step {step}");
+            assert_eq!(
+                tail_seg_percentile(&seg, len, count, p).map(f64::to_bits),
+                reference.percentile(p).ok().map(f64::to_bits),
+                "step {step}: p{p}"
+            );
         }
-        assert_eq!(plane.percentile(0, 101.0), None);
-        assert!(!plane.remove(1, f64::NAN), "non-finite remove is a no-op");
-        let before = plane.len(2);
-        plane.insert(2, f64::INFINITY);
-        assert_eq!(plane.len(2), before, "non-finite insert is ignored");
+        refills
     }
 
     #[test]
-    fn sorted_replace_matches_remove_then_insert() {
-        // The fused replace against the two-step reference, over values
-        // drawn from a small set so duplicates (and missing removals) are
-        // common, across fill levels.
-        let cap = 16;
-        let mut fused = SortedPlane::new(cap, 1);
-        let mut twostep = SortedPlane::new(cap, 1);
-        let mut x = 31u64;
-        let draw = |x: &mut u64| (lcg(x) as u64 % 7) as f64;
-        for step in 0..500usize {
-            let new = draw(&mut x);
-            // Steady-state occupancy wanders below capacity; a full lane
-            // always replaces a present value (as the ring eviction
-            // guarantees in production), a non-full lane sometimes grows
-            // and sometimes replaces a possibly-absent value.
-            let full = fused.len(0) == cap;
-            if !full && step % 5 == 0 {
-                fused.insert(0, new);
-                twostep.insert(0, new);
-                continue;
-            }
-            let old = if full {
-                fused.as_slice(0)[step % cap] // present by construction
-            } else {
-                draw(&mut x) // duplicates common, may be absent
-            };
-            let a = fused.replace(0, old, new);
-            let b = twostep.remove(0, old);
-            twostep.insert(0, new);
-            assert_eq!(a, b, "step {step}: removed flag diverged");
-            assert_eq!(fused.as_slice(0), twostep.as_slice(0), "step {step}");
+    fn tail_matches_sorted_window_at_its_percentile() {
+        let mut x = 3u64;
+        // Heavy ties, with NaN and ±∞ sprinkled in (ignored by both sides).
+        let noisy: Vec<f64> = (0..3000)
+            .map(|i| match i % 97 {
+                5 => f64::NAN,
+                11 => f64::INFINITY,
+                13 => f64::NEG_INFINITY,
+                _ => (lcg(&mut x) as u64 % 23) as f64,
+            })
+            .collect();
+        for (cap, p) in [(33usize, 99.0), (300, 99.0), (1440, 99.0), (200, 50.0)] {
+            let k = 2 * top_values_needed(cap, p) + 8;
+            drive_tail(cap, k, p, &noisy);
         }
-        // Non-finite arms fall back to the single-op semantics.
-        let len = fused.len(0);
-        assert!(!fused.replace(0, f64::NAN, f64::INFINITY), "nothing removed, nothing inserted");
-        assert_eq!(fused.len(0), len);
+        // A strictly falling stream evicts a top value every window once
+        // the window is full, so the tail keeps running short.
+        let falling: Vec<f64> = (0..2000).map(|i| 1e6 - i as f64).collect();
+        let k = 2 * top_values_needed(300, 99.0) + 8;
+        assert!(drive_tail(300, k, 99.0, &falling) > 100, "falling stream refills repeatedly");
+    }
+
+    #[test]
+    fn tail_percentile_refuses_what_it_cannot_answer() {
+        let mut seg = [0.0; 4];
+        let (mut len, mut count) = (0u32, 0u32);
+        assert_eq!(tail_seg_percentile(&seg, len, count, 99.0), None, "empty window");
+        for v in [5.0, 1.0, 9.0, 9.0, 3.0, 7.0] {
+            tail_seg_insert(&mut seg, &mut len, &mut count, v);
+        }
+        assert_eq!((len, count), (4, 6));
+        assert_eq!(&seg, &[5.0, 7.0, 9.0, 9.0], "the four largest of six");
+        assert_eq!(tail_seg_percentile(&seg, len, count, 100.0), Some(9.0));
+        assert_eq!(tail_seg_percentile(&seg, len, count, 101.0), None);
+        assert_eq!(tail_seg_percentile(&seg, len, count, 0.0), None, "the minimum is not held");
+        tail_seg_insert(&mut seg, &mut len, &mut count, f64::NAN);
+        tail_seg_evict(&mut seg, &mut len, &mut count, f64::INFINITY);
+        assert_eq!((len, count), (4, 6), "non-finite values are ignored");
     }
 
     #[test]
@@ -748,7 +734,7 @@ mod tests {
         let cap = 5;
         let mut cursors = RingCursors::new(cap, 2);
         let mut ring = RingPlane::new(cap, 2);
-        let mut sorted = SortedPlane::new(cap, 2);
+        let mut tail = TailPlane::new(cap, 2);
         let mut deque = DequePlane::new(cap, 2);
         for i in 0..8u64 {
             // Wrap lane 1 past capacity so remap must carry a rotated ring.
@@ -757,12 +743,22 @@ mod tests {
                 let (slot, evicting) = cursors.push_slot(lane);
                 if evicting {
                     let old = ring.get(slot, lane);
-                    sorted.remove(lane, old);
+                    tail_seg_evict(
+                        &mut tail.data[lane * cap..][..cap],
+                        &mut tail.len[lane],
+                        &mut tail.count[lane],
+                        old,
+                    );
                     deque.evict(lane, old as u64);
                 }
                 ring.set(slot, lane, v as f64);
                 cursors.advance(lane);
-                sorted.insert(lane, v as f64);
+                tail_seg_insert(
+                    &mut tail.data[lane * cap..][..cap],
+                    &mut tail.len[lane],
+                    &mut tail.count[lane],
+                    v as f64,
+                );
                 deque.push(lane, v);
             }
         }
@@ -776,19 +772,20 @@ mod tests {
         let mapping = [1usize, 3];
         let cursors2 = cursors.remap(&mapping, 4);
         let ring2 = ring.remap(&mapping, 4);
-        let sorted2 = sorted.remap(&mapping, 4);
+        let tail2 = tail.remap(&mapping, 4);
         let deque2 = deque.remap(&mapping, 4);
         for (old, &new) in mapping.iter().enumerate() {
             assert_eq!(cursors2.len(new), cursors.len(old));
             let got: Vec<f64> =
                 (0..cursors2.len(new)).map(|i| ring2.get(cursors2.slot_of(new, i), new)).collect();
             assert_eq!(got, held[old], "ring content survives remap");
-            assert_eq!(sorted2.as_slice(new), sorted.as_slice(old));
+            assert_eq!(tail2.as_slice(new), tail.as_slice(old));
+            assert_eq!(tail2.count(new), tail.count(old));
             assert_eq!(deque2.max(new), deque.max(old));
         }
         for fresh in [0usize, 2] {
             assert!(cursors2.is_empty(fresh));
-            assert_eq!(sorted2.len(fresh), 0);
+            assert_eq!((tail2.count(fresh), tail2.as_slice(fresh)), (0, &[][..]));
             assert_eq!(deque2.max(fresh), None);
         }
     }
@@ -802,13 +799,14 @@ mod tests {
         assert!(!cursors.restore_lane(0, 5), "over-capacity length rejected");
         assert!(cursors.is_empty(0));
 
-        let mut sorted = SortedPlane::new(4, 1);
-        assert!(sorted.restore_lane(0, &[1.0, 2.0, 2.0, 7.5]));
-        assert_eq!(sorted.percentile(0, 100.0), Some(7.5));
-        assert!(!sorted.restore_lane(0, &[2.0, 1.0]), "descending rejected");
-        assert!(!sorted.restore_lane(0, &[1.0, f64::NAN]), "non-finite rejected");
-        assert!(!sorted.restore_lane(0, &[1.0; 5]), "over-capacity rejected");
-        assert_eq!(sorted.len(0), 0);
+        let mut tail = TailPlane::new(4, 1);
+        assert!(tail.restore_lane(0, 9, &[1.0, 2.0, 2.0, 7.5]));
+        assert_eq!((tail.count(0), tail.as_slice(0)), (9, &[1.0, 2.0, 2.0, 7.5][..]));
+        assert!(!tail.restore_lane(0, 9, &[2.0, 1.0]), "descending rejected");
+        assert!(!tail.restore_lane(0, 9, &[1.0, f64::NAN]), "non-finite rejected");
+        assert!(!tail.restore_lane(0, 9, &[1.0; 5]), "over-capacity rejected");
+        assert!(!tail.restore_lane(0, 2, &[1.0; 3]), "tail longer than its window rejected");
+        assert_eq!((tail.count(0), tail.as_slice(0)), (0, &[][..]));
 
         let mut deque = DequePlane::new(4, 1);
         assert!(deque.restore_lane(0, &[9, 9, 3]));

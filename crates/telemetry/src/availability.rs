@@ -9,8 +9,6 @@
 //! memory: one pair of counters per server-day rather than one flag per
 //! 120-second window.
 
-use std::collections::HashMap;
-
 use crate::ids::ServerId;
 use crate::time::WindowIndex;
 
@@ -21,6 +19,12 @@ struct DayCounters {
 }
 
 /// Accumulates online/offline windows per server per day.
+///
+/// Servers are indexed by `ServerId.0` — fleets number their servers
+/// densely from 0 — so recording a window is an indexed access, not a
+/// hash, and memory grows with the largest id recorded. Each server's
+/// days are kept ascending; a simulation records days in order, so the
+/// current day is always the server's last entry.
 ///
 /// # Example
 ///
@@ -39,8 +43,12 @@ struct DayCounters {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct AvailabilityLog {
-    days: HashMap<(ServerId, u64), DayCounters>,
+    /// Per server id, its `(day, counters)` ascending by day; empty for a
+    /// server never recorded.
+    days: Vec<Vec<(u64, DayCounters)>>,
     servers: Vec<ServerId>,
+    /// Server-days recorded.
+    records: usize,
 }
 
 impl AvailabilityLog {
@@ -51,36 +59,53 @@ impl AvailabilityLog {
 
     /// Records one window of a server's life.
     pub fn record(&mut self, server: ServerId, window: WindowIndex, online: bool) {
-        let key = (server, window.day());
-        let entry = self.days.entry(key).or_insert_with(|| {
-            if !self.servers.contains(&server) {
-                self.servers.push(server);
-            }
-            DayCounters::default()
-        });
-        entry.total += 1;
-        if online {
-            entry.online += 1;
+        let id = server.0 as usize;
+        if id >= self.days.len() {
+            self.days.resize_with(id + 1, Vec::new);
         }
+        let days = &mut self.days[id];
+        if days.is_empty() {
+            self.servers.push(server);
+        }
+        let day = window.day();
+        let at = match days.last() {
+            Some(&(last, _)) if last == day => days.len() - 1,
+            _ => {
+                let at = days.partition_point(|&(d, _)| d < day);
+                if days.get(at).is_none_or(|&(d, _)| d != day) {
+                    days.insert(at, (day, DayCounters::default()));
+                    self.records += 1;
+                }
+                at
+            }
+        };
+        let counters = &mut days[at].1;
+        counters.total += 1;
+        if online {
+            counters.online += 1;
+        }
+    }
+
+    /// One server's recorded days, ascending (empty when never recorded).
+    fn server_days(&self, server: ServerId) -> &[(u64, DayCounters)] {
+        self.days.get(server.0 as usize).map_or(&[], Vec::as_slice)
     }
 
     /// Fraction of recorded windows the server was online on `day`.
     pub fn daily_availability(&self, server: ServerId, day: u64) -> Option<f64> {
-        self.days.get(&(server, day)).and_then(|c| {
-            if c.total == 0 {
-                None
-            } else {
-                Some(c.online as f64 / c.total as f64)
-            }
-        })
+        let days = self.server_days(server);
+        let at = days.binary_search_by_key(&day, |&(d, _)| d).ok()?;
+        let c = days[at].1;
+        (c.total > 0).then(|| c.online as f64 / c.total as f64)
     }
 
-    /// Mean availability of the server across all recorded days.
+    /// Mean availability of the server across all recorded days, summed in
+    /// day order.
     pub fn mean_availability(&self, server: ServerId) -> Option<f64> {
         let mut sum = 0.0;
         let mut n = 0usize;
-        for ((s, _), c) in &self.days {
-            if *s == server && c.total > 0 {
+        for (_, c) in self.server_days(server) {
+            if c.total > 0 {
                 sum += c.online as f64 / c.total as f64;
                 n += 1;
             }
@@ -92,15 +117,17 @@ impl AvailabilityLog {
         }
     }
 
-    /// Every `(server, day, availability)` record — the Fig. 14 sample set.
+    /// Every `(server, day, availability)` record — the Fig. 14 sample set,
+    /// sorted by server then day.
     pub fn daily_records(&self) -> Vec<(ServerId, u64, f64)> {
-        let mut records: Vec<(ServerId, u64, f64)> = self
-            .days
-            .iter()
-            .filter(|(_, c)| c.total > 0)
-            .map(|((s, d), c)| (*s, *d, c.online as f64 / c.total as f64))
-            .collect();
-        records.sort_by_key(|(s, d, _)| (*s, *d));
+        let mut records = Vec::with_capacity(self.records);
+        for (id, days) in self.days.iter().enumerate() {
+            for &(day, c) in days {
+                if c.total > 0 {
+                    records.push((ServerId(id as u32), day, c.online as f64 / c.total as f64));
+                }
+            }
+        }
         records
     }
 
@@ -144,7 +171,7 @@ impl AvailabilityLog {
 
     /// Number of recorded server-days.
     pub fn record_count(&self) -> usize {
-        self.days.len()
+        self.records
     }
 }
 
@@ -276,6 +303,32 @@ mod tests {
         assert!((b.infrastructure_overhead - 0.02).abs() < 0.01);
         assert!(b.mean < b.well_managed);
         assert!(b.improvable > 0.0);
+    }
+
+    #[test]
+    fn out_of_order_days_and_first_seen_servers() {
+        let mut log = AvailabilityLog::new();
+        // Server 5 first, then 2; server 5's days arrive out of order.
+        log.record(ServerId(5), WindowIndex(2 * WINDOWS_PER_DAY), true);
+        log.record(ServerId(2), WindowIndex(0), false);
+        log.record(ServerId(5), WindowIndex(0), false);
+        log.record(ServerId(5), WindowIndex(2 * WINDOWS_PER_DAY + 1), false);
+        log.record(ServerId(5), WindowIndex(WINDOWS_PER_DAY), true);
+        assert_eq!(log.servers(), &[ServerId(5), ServerId(2)]);
+        assert_eq!(log.record_count(), 4);
+        assert_eq!(log.daily_availability(ServerId(5), 2), Some(0.5));
+        assert_eq!(log.daily_availability(ServerId(3), 0), None, "unseen id below the max");
+        assert_eq!(
+            log.daily_records(),
+            vec![
+                (ServerId(2), 0, 0.0),
+                (ServerId(5), 0, 0.0),
+                (ServerId(5), 1, 1.0),
+                (ServerId(5), 2, 0.5),
+            ]
+        );
+        // Summed in day order: (0.0 + 1.0 + 0.5) / 3.
+        assert_eq!(log.mean_availability(ServerId(5)), Some(1.5 / 3.0));
     }
 
     #[test]
